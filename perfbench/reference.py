@@ -1,19 +1,17 @@
 """Regenerate the reference figures of perfbench/README.md.
 
-    python3 perfbench/reference.py [--seeds 1-10] [--trace-seeds 1-3]
-                                   [--seconds 15] [--workloads radon-pgd,...]
+    python3 perfbench/reference.py
 
 Runs perfbench/run.py once per workload and seed, one run after the other,
-and prints for every metric its median over the seeds and the spread: the
-distance between the first and third quartiles as a share of the median.
-With --trace-seeds it also makes traced runs on those seeds and prints the
-median of every per-layer metric and the tracing overhead: traced op_s over
+for the run length of BENCHMARK.json.  Untraced runs use SEEDS and traced
+runs TRACE_SEEDS.  Prints for every metric its median over the seeds and the
+spread: the distance between the first and third quartiles as a share of the
+median; for the traced runs also the tracing overhead, traced op_s over
 untraced op_s on the same seeds.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -22,14 +20,20 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 WORKLOADS = ("radon-pgd", "radon-ista", "net-paper", "train-toy")
+SEEDS = {0: range(1, 11), 1: range(1, 4)}   # trace flag -> seeds
+
+
+def run_seconds():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)["run_seconds"]
 
 
 def one_run(workload, seed, seconds, trace):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                          cwd=os.path.dirname(HERE))
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=ROOT)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -47,29 +51,15 @@ def summarize(runs):
     return out
 
 
-def parse_seeds(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def main(argv):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace-seeds", default="")
-    args = ap.parse_args(argv)
-    seeds = {0: parse_seeds(args.seeds)}
-    if args.trace_seeds:
-        seeds[1] = parse_seeds(args.trace_seeds)
-
+def main():
+    seconds = run_seconds()
     report = {}
-    for workload in args.workloads.split(","):
-        for trace, trace_seeds in seeds.items():
+    for workload in WORKLOADS:
+        for trace, seeds in SEEDS.items():
             runs = []
-            for seed in trace_seeds:
+            for seed in seeds:
                 t0 = time.perf_counter()
-                r = one_run(workload, seed, args.seconds, trace)
+                r = one_run(workload, seed, seconds, trace)
                 runs.append(r)
                 print(f"{workload} trace={trace} seed={seed} "
                       f"wall={time.perf_counter() - t0:.1f}s correct={r['correct']} "
@@ -78,10 +68,10 @@ def main(argv):
                                  for k, v in r["metrics"].items()
                                  if trace == 0 or k == "trace.op_s"),
                       flush=True)
-            report[(workload, trace)] = (summarize(runs), runs, trace_seeds)
+            report[(workload, trace)] = (summarize(runs), runs)
 
     print()
-    for (workload, trace), (summary, runs, trace_seeds) in report.items():
+    for (workload, trace), (summary, runs) in report.items():
         fails = sorted({r["failed"] / r["attempted"] for r in runs})
         print(f"## {workload} ({'traced' if trace else 'untraced'}, "
               f"{len(runs)} seeds, failed share {fails})")
@@ -89,14 +79,14 @@ def main(argv):
             print(f"  {name:34s} median {med:<12.6g} spread {spr:6.3f} "
                   f"range [{lo:.6g}, {hi:.6g}]")
         if trace:
-            _, base_runs, base_seeds = report[(workload, 0)]
+            _, base_runs = report[(workload, 0)]
             base = statistics.median(
                 r["metrics"]["op_s"]["value"]
-                for r, s in zip(base_runs, base_seeds) if s in trace_seeds)
+                for r, s in zip(base_runs, SEEDS[0]) if s in SEEDS[1])
             print(f"  tracing overhead: traced op_s / op_s on the same seeds = "
                   f"{summary['trace.op_s'][0] / base:.3f}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -17,6 +17,8 @@ import bench  # noqa: E402
 import checks  # noqa: E402
 import tracing  # noqa: E402
 from workloads import (  # noqa: E402
+    LAM,
+    MU,
     NET_PAPER,
     RADON_PGD,
     TRAIN_TOY,
@@ -68,9 +70,11 @@ def test_tracer_restores_the_program():
 
     before = (gcgls.solve, sensing.SensingModel.apply, tikhonov.sla)
     tracer = tracing.Tracer()
-    tracer.install()
-    assert gcgls.solve is not before[0]
-    tracer.uninstall()
+    try:
+        tracer.install()
+        assert gcgls.solve is not before[0]
+    finally:
+        tracer.uninstall()
     assert (gcgls.solve, sensing.SensingModel.apply, tikhonov.sla) == before
 
 
@@ -91,16 +95,15 @@ def test_normal_equations_check_rejects_moved_u():
     w, st, report = _radon_report()
     assert w.faults(st, 1, report) == []
     u, z = report.state.u, report.state.z
-    y, lam = st["ys"][1], w.spec.lam
-    assert checks.normal_equations_fault(u, z, st["a"], y, lam) is None
-    assert checks.normal_equations_fault(u * (1 + 1e-6), z, st["a"], y, lam)
+    y = st["ys"][1]
+    assert checks.normal_equations_fault(u, z, st["a"], y, LAM) is None
+    assert checks.normal_equations_fault(u * (1 + 1e-6), z, st["a"], y, LAM)
 
 
 def test_cost_checks_reject_wrong_reports():
-    w, st, report = _radon_report()
+    _, st, report = _radon_report()
     report.f_final *= 1 + 1e-8
-    assert checks.final_cost_fault(report, st["a"], st["ys"][1],
-                                   w.spec.lam, w.spec.mu)
+    assert checks.final_cost_fault(report, st["a"], st["ys"][1], LAM, MU)
     report.state.trace[2].f_value = report.state.trace[0].f_value * 2
     assert checks.cost_trace_fault(report)
 

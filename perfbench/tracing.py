@@ -27,7 +27,6 @@ TARGETS = (
     ("cginvert.sensing", "SensingModel.adjoint", "sensing.adjoint"),
     ("cginvert.covariance", "CovarianceParam.solve", "covariance.solve"),
     ("cginvert.regularizer", "ScaleRegularizer.prox", "regularizer.prox"),
-    ("cginvert.regularizer", "cost", "regularizer.cost"),
     ("cginvert.gcgls", "cost", "regularizer.cost"),
     ("cginvert.gcgls", "pgd_step", "scale_step.step"),
     ("cginvert.gcgls", "ista_step", "scale_step.step"),

@@ -38,6 +38,11 @@ import checks
 # the paper configuration's learnable-scalar count (criterion C1)
 PAPER_PARAMS = 726350
 SNR_DB = 60.0
+# Radon solves: log-squared regularizer weight and covariance P = LAM * I
+MU = 0.05
+LAM = 1.0
+# network covariance initial value, the CLI default for the Radon operator
+COV_INIT = 0.1
 # failures the program reports for an operation; they count it as failed
 OP_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
@@ -126,8 +131,6 @@ class RadonSpec:
     samples: int = 8
     K: int = 10
     J: int = 3
-    mu: float = 0.05            # log-squared regularizer weight
-    lam: float = 1.0            # scaled-identity covariance P = lam * I
 
 
 class RadonSolve:
@@ -142,8 +145,8 @@ class RadonSolve:
         st = {
             "model": model,
             "ys": [y for y, _ in ds.pairs],
-            "p": CovarianceParam.scaled_identity(model.n, s.lam),
-            "r": ScaleRegularizer.log_squared(s.mu),
+            "p": CovarianceParam.scaled_identity(model.n, LAM),
+            "r": ScaleRegularizer.log_squared(MU),
             "cfg": gcgls.SolverConfig(K=s.K, J=s.J, zstep_method=s.method),
         }
         self._op(st, 0)
@@ -158,8 +161,7 @@ class RadonSolve:
         return []
 
     def faults(self, st, i, report):
-        return checks.solve_faults(report, st["a"], st["ys"][i],
-                                   self.spec.lam, self.spec.mu)
+        return checks.solve_faults(report, st["a"], st["ys"][i], LAM, MU)
 
     def peak_mb(self, st):
         return peak_mb(lambda: self._op(st, 0))
@@ -202,7 +204,6 @@ class NetSpec:
     # with a count: check it and the C9 bit-identity once per run, and the
     # count after every epoch
     expected_params: int | None = None
-    cov_init: float = 0.1       # the CLI default for the Radon operator
 
 
 class _Stop(Exception):
@@ -219,12 +220,12 @@ class NetTrain:
 
     def _fresh(self, st):
         return init_params(self.spec.net, st["model"].n, seed=st["seed"],
-                           cov_init=self.spec.cov_init)
+                           cov_init=COV_INIT)
 
     def _train(self, st, params, epochs, callback=None):
         return train(st["pairs"], st["model"], self.spec.net,
                      self._train_cfg(st["seed"], epochs),
-                     cov_init=self.spec.cov_init, params=params, callback=callback)
+                     cov_init=COV_INIT, params=params, callback=callback)
 
     def setup(self, seed):
         """Operator, samples and initial parameters, then one warm-up epoch."""
@@ -256,7 +257,7 @@ class NetTrain:
         refinement, next to gcgls.solve with the matching settings."""
         model, y = st["model"], st["pairs"][0][0]
         cfg = replace(self.spec.net, gamma_max=np.inf, refine=False)
-        params = init_params(cfg, model.n, seed=st["seed"], cov_init=self.spec.cov_init)
+        params = init_params(cfg, model.n, seed=st["seed"], cov_init=COV_INIT)
         eta = 0.1 / model.a_norm ** 2
         for key, val in params.values.items():
             if key.startswith("w."):
