@@ -20,7 +20,7 @@ KINDS = ("scaled_identity", "diagonal", "tridiagonal", "full")
 
 
 class CovarianceParam:
-    """A structured covariance P with cached solves and gradient chaining."""
+    """A structured covariance P with cached solves."""
 
     def __init__(self, kind, n, eps=1e-4, lam=None, diag=None, d1=None, d2=None, tril=None):
         if kind not in KINDS:
@@ -105,16 +105,6 @@ class CovarianceParam:
             return cls.tridiagonal(n, arrays["cov.d1"], arrays["cov.d2"], eps)
         return cls.full(n, arrays["cov.L"], eps)
 
-    def dim(self):
-        """Number of learnable scalars for this structure."""
-        n = self.n
-        return {
-            "scaled_identity": 1,
-            "diagonal": n,
-            "tridiagonal": 2 * n - 1,
-            "full": n * (n + 1) // 2,
-        }[self.kind]
-
     # -- realized matrix ------------------------------------------------------
 
     def _l_matrix(self):
@@ -181,40 +171,6 @@ class CovarianceParam:
         else:
             g += sla.cho_solve(self._chofac(), np.eye(self.n))
         return g
-
-    def inv_norm(self):
-        """||P^{-1}||_2 = 1/lambda_min(P)."""
-        d = self.diag_values()
-        if d is not None:
-            return float(1.0 / d.min())
-        w = np.linalg.eigvalsh(self.materialize())
-        return float(1.0 / w.min())
-
-    # -- training support ------------------------------------------------------
-
-    def chain_matrix_grad(self, pbar):
-        """Map a gradient w.r.t. the realized P onto the learnable arrays.
-
-        pbar need not be symmetric; the L L^T + eps*I kinds use
-        Lbar = (pbar + pbar^T) L restricted to their sparsity pattern.
-        Floored entries (lam <= eps) get zero gradient.
-        """
-        n = self.n
-        if self.kind == "scaled_identity":
-            g = np.trace(pbar) if self.lam > self.eps else 0.0
-            return {"cov.lam": np.array([g])}
-        if self.kind == "diagonal":
-            g = np.diagonal(pbar).copy()
-            g[self.diag <= self.eps] = 0.0
-            return {"cov.diag": g}
-        L = self._l_matrix()
-        lbar = (pbar + pbar.T) @ L
-        if self.kind == "tridiagonal":
-            return {
-                "cov.d1": np.diagonal(lbar).copy(),
-                "cov.d2": lbar[np.arange(1, n), np.arange(n - 1)].copy(),
-            }
-        return {"cov.L": lbar[np.tril_indices(n)].copy()}
 
 
 def _diag_positions(n):

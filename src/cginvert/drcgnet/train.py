@@ -102,6 +102,8 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                     diff = c_hat - c
                     loss += np.abs(diff).sum() * inv
                     g = backward(tape, np.sign(diff) * inv, params)
+                    # free this sample's tape before the next forward builds one
+                    del tape
                     for key in grads:
                         grads[key] += g[key]
             except np.linalg.LinAlgError as exc:

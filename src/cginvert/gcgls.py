@@ -34,7 +34,8 @@ __all__ = [
     "diagnostics",
 ]
 
-# floating-point slack allowed on the theoretically non-increasing cost trace
+# floating-point slack allowed on the theoretically non-increasing cost trace;
+# the guards are written so that a NaN cost fails them too
 COST_INCREASE_TOL = 1e-10
 
 
@@ -131,7 +132,7 @@ def solve(model, y, p, r, cfg):
         for j in range(1, cfg.J + 1):
             z_new, eta = step(state.z, state.u, model, y, r, cfg.linesearch)
             f_now = cost(state.u, z_new, model, y, p, r)
-            if f_now > f_prev + COST_INCREASE_TOL:
+            if not (f_now <= f_prev + COST_INCREASE_TOL):
                 raise NonMonotoneCostError(
                     f"cost rose by {f_now - f_prev:.3e} on z step k={k}, j={j}"
                 )
@@ -147,7 +148,7 @@ def solve(model, y, p, r, cfg):
 
         u_new = _u_update(state.u, state.z, model, y, p, cfg)
         f_now = cost(u_new, state.z, model, y, p, r)
-        if f_now > f_prev + COST_INCREASE_TOL:
+        if not (f_now <= f_prev + COST_INCREASE_TOL):
             raise NonMonotoneCostError(
                 f"cost rose by {f_now - f_prev:.3e} on u step k={k}"
             )

@@ -54,8 +54,10 @@ class SensingModel:
     """The operator A = Psi @ Phi with apply/adjoint and metadata.
 
     psi is dense or CSR sparse (m x n); phi is a dense n x n dictionary or
-    None for the identity marker.  a_norm caches a power-iteration estimate
-    of ||A||_2.  side is the image side length when n is a perfect square.
+    None for the identity marker.  psi_t is Psi^T, kept as CSR when psi is
+    sparse so adjoints and sparse products never transpose again.  a_norm
+    caches a power-iteration estimate of ||A||_2.  side is the image side
+    length when n is a perfect square.
     """
 
     def __init__(self, psi, phi=None, side=None, meta=None):
@@ -63,6 +65,7 @@ class SensingModel:
         if phi is not None and phi.shape != (n, n):
             raise ValueError(f"phi must be {n}x{n}, got {phi.shape}")
         self.psi = psi
+        self.psi_t = psi.T.tocsr() if sp.issparse(psi) else psi.T
         self.phi = phi
         self.m = m
         self.n = n
@@ -90,7 +93,7 @@ class SensingModel:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}, got {w.shape}")
-        out = self.psi.T @ w
+        out = self.psi_t @ w
         if self.phi is not None:
             out = self.phi.T @ out
         return out

@@ -2,7 +2,10 @@
 
 Three routes: the direct n x n symmetric solve, the Woodbury rewrite that
 solves an m x m system instead, and a Nesterov-accelerated gradient descent
-approximation for problems where a factorization is unwanted.
+approximation for problems where a factorization is unwanted.  With a sparse
+Psi, no dictionary and a diagonal P, the Woodbury system
+Psi Diag(z^2 d) Psi^T + I is formed by one sparse-sparse product and the
+dense A is never built.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .covariance import CovarianceParam
 from .errors import DivergenceError
@@ -79,13 +83,20 @@ def tikhonov_woodbury(z, model, y, p):
 
 
 def _tikhonov_woodbury_with_factor(z, model, y, p):
-    az = _a_z(z, model)
     d = p.diag_values()
-    azp = az * d[None, :] if d is not None else az @ p.materialize()
-    s = azp @ az.T
+    sparse = d is not None and model.phi is None and sp.issparse(model.psi)
+    if sparse:
+        # A_z P A_z^T = Psi Diag(z^2 d) Psi^T and P A_z^T = Diag(d z) Psi^T
+        w = z * z * d
+        s = (model.psi.multiply(w[None, :]).tocsr() @ model.psi_t).toarray()
+    else:
+        az = _a_z(z, model)
+        azp = az * d[None, :] if d is not None else az @ p.materialize()
+        s = azp @ az.T
     s[np.diag_indices(model.m)] += 1.0
     cho = sla.cho_factor(s, lower=True)
-    u = azp.T @ sla.cho_solve(cho, y)
+    v = sla.cho_solve(cho, y)
+    u = d * z * model.adjoint(v) if sparse else azp.T @ v
     return u, cho
 
 

@@ -1,3 +1,6 @@
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,25 @@ class TestTrain:
                              val_pairs=ds.pairs[4:], cov_init=0.1)
         vm = evaluate_mae(ds.pairs[4:], model, params)
         assert vm == pytest.approx(min(hist["val_mae"]), rel=1e-12)
+
+    def test_each_tape_is_freed_before_the_next_forward(self, monkeypatch):
+        # the package re-exports the train function under the module's name
+        train_module = importlib.import_module("cginvert.drcgnet.train")
+        real_forward = train_module.forward
+        tapes = []
+
+        def forward_keeping_refs(*args, **kwargs):
+            assert all(ref() is None for ref in tapes)
+            c_hat, tape = real_forward(*args, **kwargs)
+            if tape is not None:
+                tapes.append(weakref.ref(tape))
+            return c_hat, tape
+
+        monkeypatch.setattr(train_module, "forward", forward_keeping_refs)
+        model, ds, cfg = toy_setup()
+        tcfg = TrainConfig(lr=1e-3, epochs=2, batch=2, seed=0)
+        train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+        assert len(tapes) == 2 * len(ds.pairs)
 
     def test_batching_covers_all_samples(self):
         model, ds, cfg = toy_setup(n_samples=5)

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cginvert import gcgls
 from cginvert.covariance import CovarianceParam
-from cginvert.errors import NumericalError
+from cginvert.errors import NonMonotoneCostError, NumericalError
 from cginvert.gcgls import SolverConfig, diagnostics, initial_scale, solve
 from cginvert.regularizer import ScaleRegularizer
 from cginvert.scale_step import LinesearchConfig
@@ -150,6 +152,22 @@ class TestSolve:
                            linesearch=LinesearchConfig(mode="fixed", eta=500.0))
         with pytest.raises(NumericalError):
             solve(model, y, p, ScaleRegularizer.zero(), cfg)
+
+    # cost calls: 0 is the initial point, 1..J the z steps, J+1 the u step
+    @pytest.mark.parametrize("nan_call, block", [(1, "z step"), (3, "u step")])
+    def test_nan_cost_raises_non_monotone(self, monkeypatch, nan_call, block):
+        model, rng = normalized_instance(6, 9, 13)
+        y = rng.standard_normal(6)
+        p = CovarianceParam.scaled_identity(9, 1.0)
+        calls = itertools.count()
+        real_cost = gcgls.cost
+
+        def cost_with_nan(*args):
+            return math.nan if next(calls) == nan_call else real_cost(*args)
+
+        monkeypatch.setattr(gcgls, "cost", cost_with_nan)
+        with pytest.raises(NonMonotoneCostError, match=block):
+            solve(model, y, p, ScaleRegularizer.zero(), SolverConfig(K=1, J=2))
 
     def test_c_star_is_elementwise_product(self):
         model, rng = normalized_instance(6, 9, 12)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cginvert.covariance import CovarianceParam
+from cginvert import gcgls
+from cginvert.covariance import KINDS, CovarianceParam
 from cginvert.errors import DivergenceError
 from cginvert.regularizer import ScaleRegularizer, cost
-from cginvert.sensing import SensingModel
+from cginvert.sensing import SensingModel, build_radon
 from cginvert.tikhonov import (
     NagdConfig,
     grad_u,
@@ -164,6 +165,27 @@ class TestWoodbury:
         model, y, _, p = make_instance(4, 7, 7)
         assert tikhonov_woodbury(np.zeros(7), model, y, p) == pytest.approx(
             np.zeros(7), abs=1e-14)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sparse_radon_matches_exact(self, kind):
+        # m=115 < n=256; the diagonal kinds form the system from sparse Psi
+        model = build_radon(16, 5)
+        rng = np.random.default_rng(KINDS.index(kind))
+        y = rng.standard_normal(model.m)
+        z = rng.uniform(0.2, 2.0, model.n)
+        p = random_cov(kind, model.n, rng)
+        ue = tikhonov_exact(z, model, y, p)
+        uw = tikhonov_woodbury(z, model, y, p)
+        assert np.linalg.norm(ue - uw) <= 1e-10 * np.linalg.norm(ue)
+
+    def test_sparse_solve_never_densifies_the_operator(self):
+        model = build_radon(16, 5)
+        rng = np.random.default_rng(0)
+        y = model.apply(rng.uniform(0.0, 1.0, model.n))
+        gcgls.solve(model, y, CovarianceParam.scaled_identity(model.n, 1.0),
+                    ScaleRegularizer.log_squared(0.05),
+                    gcgls.SolverConfig(K=2, J=2))
+        assert model._dense_a is None
 
 
 class TestGradientStep:
