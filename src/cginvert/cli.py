@@ -18,23 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import config as cfgmod
-from .data_metrics import (
-    Dataset,
-    gen_dataset,
-    load_dataset,
-    psnr,
-    save_dataset,
-    ssim,
-)
-from .drcgnet import (
-    evaluate_mae,
-    forward,
-    load_checkpoint,
-    param_count,
-    save_checkpoint,
-    train,
-)
-from .drcgnet.params import init_params
+from .data_metrics import gen_dataset, load_dataset, psnr, save_dataset, ssim
+from .drcgnet import forward, load_checkpoint, param_count, save_checkpoint, train
 from .errors import CgInvertError, ConfigError, DataError, NumericalError
 from .gcgls import diagnostics, solve
 from .imageio import write_pgm

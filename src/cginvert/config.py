@@ -6,8 +6,6 @@ data.*.  Unknown keys are rejected by name; CLI --set overrides file values.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .covariance import CovarianceParam
 from .drcgnet.params import NetConfig, TrainConfig
 from .errors import ConfigError
@@ -239,7 +237,7 @@ def build_net_config(cfg):
         raise ConfigError(str(exc))
 
 
-def build_train_config(cfg, seed_override=None):
+def build_train_config(cfg):
     try:
         return TrainConfig(
             lr=cfg.get("train.lr"),
@@ -248,7 +246,7 @@ def build_train_config(cfg, seed_override=None):
             beta1=cfg.get("train.beta1"),
             beta2=cfg.get("train.beta2"),
             eps_adam=cfg.get("train.eps_adam"),
-            seed=cfg.get("train.seed") if seed_override is None else seed_override,
+            seed=cfg.get("train.seed"),
             patience=cfg.get("train.patience"),
         )
     except ValueError as exc:

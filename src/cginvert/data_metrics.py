@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .imageio import read_pgm, write_pgm
+from .imageio import read_pgm
 from .sensing import measure
 
 __all__ = [
@@ -149,30 +149,43 @@ def save_dataset(ds, out_dir):
         c.astype("<f8").tofile(os.path.join(out_dir, f"c_{i}.f64"))
 
 
+def _load_vector(in_dir, name, size):
+    path = os.path.join(in_dir, name)
+    if not os.path.exists(path):
+        raise DataError(f"missing sample file {path}")
+    v = np.fromfile(path, dtype="<f8")
+    if v.size != size:
+        raise DataError(f"{path} has {v.size} values, expected {size}")
+    if not np.isfinite(v).all():
+        raise DataError(f"{path} holds non-finite values")
+    return v
+
+
 def load_dataset(in_dir):
+    """Read save_dataset output; missing files or keys, wrong lengths and
+    non-finite values raise DataError."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no dataset manifest in {in_dir}")
     with open(path) as fh:
         manifest = json.load(fh)
-    pairs = []
-    for i in range(manifest["n_samples"]):
-        y = np.fromfile(os.path.join(in_dir, f"y_{i}.f64"), dtype="<f8")
-        c = np.fromfile(os.path.join(in_dir, f"c_{i}.f64"), dtype="<f8")
-        if y.size != manifest["m"] or c.size != manifest["n"]:
-            raise DataError(f"sample {i} has wrong length")
-        pairs.append((y, c))
-    return Dataset(
-        pairs=pairs,
-        model_fingerprint=manifest["model_fingerprint"],
-        dataset_fingerprint=manifest["dataset_fingerprint"],
-        snr_db=manifest["snr_db"],
-        seeds=manifest["seeds"],
-        side=manifest["side"],
-        m=manifest["m"],
-        n=manifest["n"],
-        generation=manifest["generation"],
-    )
+    try:
+        pairs = [(_load_vector(in_dir, f"y_{i}.f64", manifest["m"]),
+                  _load_vector(in_dir, f"c_{i}.f64", manifest["n"]))
+                 for i in range(manifest["n_samples"])]
+        return Dataset(
+            pairs=pairs,
+            model_fingerprint=manifest["model_fingerprint"],
+            dataset_fingerprint=manifest["dataset_fingerprint"],
+            snr_db=manifest["snr_db"],
+            seeds=manifest["seeds"],
+            side=manifest["side"],
+            m=manifest["m"],
+            n=manifest["n"],
+            generation=manifest["generation"],
+        )
+    except KeyError as exc:
+        raise DataError(f"dataset manifest in {in_dir} lacks key {exc}") from None
 
 
 def psnr(x, ref, peak=1.0):

@@ -12,17 +12,18 @@ the forward factorization reused.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..gcgls import initial_scale
-from ..regularizer import grad_z_datafit
 from ..tikhonov import (
     NagdConfig,
-    _tikhonov_direct_with_factor,
-    _tikhonov_woodbury_with_factor,
     nagd_momentum,
+    tikhonov_adjoint,
+    tikhonov_factored,
     tikhonov_nagd,
 )
+# Unused here, but perfbench/tracing.py wraps these names in this module and
+# fails without them; drop this line once its TARGETS stop listing them.
+from ..tikhonov import _tikhonov_direct_with_factor, _tikhonov_woodbury_with_factor, sla  # noqa: E501,F401
 from .conv import conv2d_backward, conv2d_forward
 
 __all__ = ["subnet_forward", "intermediate_map", "forward", "backward", "Tape"]
@@ -85,12 +86,8 @@ def _gmap_forward(z, u, model, y, delta, gamma_max, kernels, variant, side):
     s = 1.0 if norm <= gamma_max else gamma_max / norm
     eta = delta * s
     r = z - eta * g
-    if variant == "pgd":
-        stack_out, cache = _stack_forward(kernels, z, side)
-        pre = r + stack_out
-    else:
-        stack_out, cache = _stack_forward(kernels, r, side)
-        pre = r + stack_out
+    stack_out, cache = _stack_forward(kernels, z if variant == "pgd" else r, side)
+    pre = r + stack_out
     z_out = np.maximum(pre, 0.0)
     return z_out, {
         "z_in": z, "u": u, "t_adj": t_adj, "g": g, "norm": norm, "s": s,
@@ -109,12 +106,11 @@ def _gmap_backward(zbar_out, rec, model, kernels):
     u, z, g = rec["u"], rec["z_in"], rec["g"]
     qbar = zbar_out * (rec["pre"] > 0.0)
     side = int(np.sqrt(z.size))
+    stack_in_bar, dkerns = _stack_backward(qbar, kernels, rec["cache"], side)
     if rec["variant"] == "pgd":
-        stack_in_bar, dkerns = _stack_backward(qbar, kernels, rec["cache"], side)
         rbar = qbar
         zbar = stack_in_bar.copy()
     else:
-        stack_in_bar, dkerns = _stack_backward(qbar, kernels, rec["cache"], side)
         rbar = qbar + stack_in_bar
         zbar = np.zeros_like(z)
 
@@ -151,11 +147,17 @@ def _tikh_forward(z, u_prev, model, y, p, cfg):
             u_prev, z, model, y, p,
             NagdConfig(steps=cfg.nagd_steps, eta=cfg.nagd_eta), want_trace=True)
         return u, {"mode": "nagd", "z": z, "u": u, "trace": trace, "eta": eta}
-    if model.m < model.n:
-        u, cho = _tikhonov_woodbury_with_factor(z, model, y, p)
-        return u, {"mode": "woodbury", "z": z, "u": u, "cho": cho}
-    u, cho = _tikhonov_direct_with_factor(z, model, y, p)
-    return u, {"mode": "direct", "z": z, "u": u, "cho": cho}
+    u, factor = tikhonov_factored(z, model, y, p)
+    return u, {"mode": "exact", "z": z, "u": u, "factor": factor}
+
+
+def _z_term(a, b, z, model, ay, p, scale, pbar_sink):
+    """z-gradient of <a, A_z^T y - (A_z^T A_z + P^{-1}) b> with b held fixed:
+    a*A^T y - a*A^T A(z*b) - b*A^T A(z*a).  The matching covariance term,
+    scale times the P-derivative of the same pairing, goes into pbar_sink."""
+    pbar_sink.append((p.solve(a), p.solve(b), scale))
+    return a * ay - a * model.adjoint(model.apply(z * b)) \
+        - b * model.adjoint(model.apply(z * a))
 
 
 def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
@@ -169,17 +171,9 @@ def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
     z = rec["z"]
     ay = model.adjoint(y)
 
-    if rec["mode"] in ("direct", "woodbury"):
-        u = rec["u"]
-        if rec["mode"] == "direct":
-            w = sla.cho_solve(rec["cho"], ubar)
-        else:
-            pu = p.apply(ubar)
-            w = pu - p.apply(z * model.adjoint(
-                sla.cho_solve(rec["cho"], model.apply(z * pu))))
-        zbar = w * ay - w * model.adjoint(model.apply(z * u)) \
-            - u * model.adjoint(model.apply(z * w))
-        pbar_sink.append((p.solve(w), p.solve(u), 1.0))
+    if rec["mode"] == "exact":
+        w = tikhonov_adjoint(ubar, z, model, p, rec["factor"])
+        zbar = _z_term(w, rec["u"], z, model, ay, p, 1.0, pbar_sink)
         return zbar, np.zeros_like(ubar)
 
     # accelerated mode: reverse through the momentum recursion
@@ -202,10 +196,7 @@ def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
         uj = trace[j]
         # through r(u) = u - eta*(A_z^T(A_z u - y) + P^{-1} u) at u_j
         ubars[j] += rb - eta * (z * model.adjoint(model.apply(z * rb)) + p.solve(rb))
-        zbar += eta * (rb * ay
-                       - rb * model.adjoint(model.apply(z * uj))
-                       - uj * model.adjoint(model.apply(z * rb)))
-        pbar_sink.append((p.solve(rb), p.solve(uj), eta))
+        zbar += eta * _z_term(rb, uj, z, model, ay, p, eta, pbar_sink)
     return zbar, ubars[0]
 
 

@@ -10,7 +10,7 @@ executes in the forward pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,13 +211,13 @@ def load_checkpoint(path_dir):
         manifest = json.load(fh)
     cfg = NetConfig.from_dict(manifest["net"])
     blob = np.fromfile(os.path.join(path_dir, "params.bin"), dtype="<f8")
-    values = {}
-    pos = 0
-    for name in manifest["order"]:
-        shape = tuple(manifest["shapes"][name])
-        size = int(np.prod(shape)) if shape else 1
+    shapes = [tuple(manifest["shapes"][name]) for name in manifest["order"]]
+    expected = sum(int(np.prod(shape)) for shape in shapes)
+    if blob.size != expected:
+        raise ConfigError(f"checkpoint blob has {blob.size} scalars, expected {expected}")
+    values, pos = {}, 0
+    for name, shape in zip(manifest["order"], shapes):
+        size = int(np.prod(shape))
         values[name] = blob[pos:pos + size].reshape(shape).astype(np.float64)
         pos += size
-    if pos != blob.size:
-        raise ConfigError(f"checkpoint blob has {blob.size} scalars, expected {pos}")
     return NetParams(cfg, manifest["n"], values), manifest

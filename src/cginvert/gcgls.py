@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CovarianceParam
 from .errors import NonMonotoneCostError
-from .regularizer import CGState, ScaleRegularizer, TraceRecord, cost
+from .regularizer import CGState, TraceRecord, cost
 from .scale_step import (
     LinesearchConfig,
     StationarityResidual,
@@ -113,10 +112,7 @@ def solve(model, y, p, r, cfg):
         lifted = int(mask.sum())
         if lifted:
             z = np.where(mask, r.floor, z)
-    if cfg.tikhonov_mode == "exact":
-        u = tikhonov_solve(z, model, y, p)
-    else:
-        u = tikhonov_nagd(np.zeros(model.n), z, model, y, p, cfg.nagd)
+    u = _u_update(np.zeros(model.n), z, model, y, p, cfg)
 
     f_prev = cost(u, z, model, y, p, r)
     state = CGState(u=u, z=z, trace=[])

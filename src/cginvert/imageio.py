@@ -50,7 +50,10 @@ def read_pgm(path):
         raise DataError(f"{path}: bad maxval {maxval}")
     if magic == "P5":
         raw = data[end + 1 :]
-        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        if len(raw) < w * h * dtype.itemsize:
+            raise DataError(f"{path}: expected {w * h} pixels, got "
+                            f"{len(raw) // dtype.itemsize}")
         img = np.frombuffer(raw, dtype=dtype, count=w * h).astype(np.float64)
     else:
         vals = [int(t) for t, _ in _pgm_tokens(data[end:])]

@@ -10,7 +10,6 @@ R(z) = mu * sum_i log(z_i)^2 on (0, inf)^n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

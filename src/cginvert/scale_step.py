@@ -8,8 +8,7 @@ Both support a fixed step size or a backtracking halving linesearch.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,20 +78,14 @@ def estimate_au_norm_sq(u, model, iters=100, tol=1e-10, seed=0):
     return nrm * nrm
 
 
-def _fixed_eta_pgd(z, u, model, y, r, ls):
+def _fixed_eta(u, model, ls, curvature):
+    """ls.eta, else 0.95/L with L = ||A_u||^2 + curvature(), R's share of L
+    (nonzero only for the PGD step, whose gradient includes R)."""
     if ls.eta is not None:
         return ls.eta
     lip = ls.lipschitz_estimate
     if lip <= 0.0:
-        lip = estimate_au_norm_sq(u, model) + r.curvature_bound(z)
-    return 0.95 / max(lip, 1e-30)
-
-def _fixed_eta_ista(z, u, model, y, r, ls):
-    if ls.eta is not None:
-        return ls.eta
-    lip = ls.lipschitz_estimate
-    if lip <= 0.0:
-        lip = estimate_au_norm_sq(u, model)
+        lip = estimate_au_norm_sq(u, model) + curvature()
     return 0.95 / max(lip, 1e-30)
 
 
@@ -104,7 +97,7 @@ def pgd_step(z, u, model, y, r, ls):
     """
     grad = grad_z_datafit(z, u, model, y) + r.grad(z)
     if ls.mode == "fixed":
-        eta = _fixed_eta_pgd(z, u, model, y, r, ls)
+        eta = _fixed_eta(u, model, ls, lambda: r.curvature_bound(z))
         return r.project(z - eta * grad), eta
 
     f0 = data_misfit(z, u, model, y) + r.value(z)
@@ -129,7 +122,7 @@ def ista_step(z, u, model, y, r, ls):
     """
     grad = grad_z_datafit(z, u, model, y)
     if ls.mode == "fixed":
-        eta = _fixed_eta_ista(z, u, model, y, r, ls)
+        eta = _fixed_eta(u, model, ls, lambda: 0.0)
         return r.prox(z - eta * grad, eta), eta
 
     f0 = data_misfit(z, u, model, y)

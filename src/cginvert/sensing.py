@@ -8,7 +8,7 @@ optional orthonormal dictionary (2-D DCT) or the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

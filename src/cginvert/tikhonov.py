@@ -5,12 +5,12 @@ solves an m x m system instead, and a Nesterov-accelerated gradient descent
 approximation for problems where a factorization is unwanted.  With a sparse
 Psi, no dictionary and a diagonal P, the Woodbury system
 Psi Diag(z^2 d) Psi^T + I is formed by one sparse-sparse product and the
-dense A is never built.
+dense A is never built.  tikhonov_factored alone picks the exact route, and
+tikhonov_adjoint solves against its factor for the network backward.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from .covariance import CovarianceParam
 from .errors import DivergenceError
+from .sensing import spectral_norm
 
 __all__ = [
     "NagdConfig",
@@ -26,6 +27,8 @@ __all__ = [
     "tikhonov_exact",
     "tikhonov_woodbury",
     "tikhonov_solve",
+    "tikhonov_factored",
+    "tikhonov_adjoint",
     "r_u_step",
     "tikhonov_nagd",
     "nagd_momentum",
@@ -101,10 +104,29 @@ def _tikhonov_woodbury_with_factor(z, model, y, p):
 
 
 def tikhonov_solve(z, model, y, p):
-    """Routed exact solve: Woodbury when m < n, direct otherwise."""
+    """Routed exact solve (see tikhonov_factored)."""
+    return tikhonov_factored(z, model, y, p)[0]
+
+
+def tikhonov_factored(z, model, y, p):
+    """Routed exact solve, Woodbury when m < n and direct otherwise; returns
+    (u, factor) with the factor that tikhonov_adjoint solves against."""
     if model.m < model.n:
-        return tikhonov_woodbury(z, model, y, p)
-    return tikhonov_exact(z, model, y, p)
+        u, cho = _tikhonov_woodbury_with_factor(z, model, y, p)
+        return u, ("woodbury", cho)
+    u, cho = _tikhonov_direct_with_factor(z, model, y, p)
+    return u, ("direct", cho)
+
+
+def tikhonov_adjoint(b, z, model, p, factor):
+    """(A_z^T A_z + P^{-1})^{-1} b against a factor from tikhonov_factored;
+    the Woodbury route reads P b - P A_z^T (I + A_z P A_z^T)^{-1} A_z P b."""
+    route, cho = factor
+    if route == "direct":
+        return sla.cho_solve(cho, b)
+    pb = p.apply(b)
+    return pb - p.apply(z * model.adjoint(
+        sla.cho_solve(cho, model.apply(z * pb))))
 
 
 def r_u_step(u, z, model, y, p, eta):
@@ -117,22 +139,10 @@ def nagd_momentum(j):
     return 1.0 - 3.0 / (6.0 + j)
 
 
-def estimate_u_lipschitz(z, model, p, iters=100, tol=1e-8, seed=0):
+def estimate_u_lipschitz(z, model, p):
     """Power-iteration estimate of ||A_z^T A_z + P^{-1}||_2."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(model.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = z * model.adjoint(model.apply(z * v)) + p.solve(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= tol * max(nw, 1.0):
-            return nw
-        lam = nw
-    return lam
+    op = lambda v: z * model.adjoint(model.apply(z * v)) + p.solve(v)
+    return spectral_norm(op, lambda w: w, model.n) ** 2
 
 
 def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):

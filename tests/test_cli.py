@@ -122,6 +122,74 @@ class TestSolve:
         assert "fingerprint" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Corrupt files end in the documented exit code with a one-line message."""
+
+    def gen(self, cfg_path, tmp_path):
+        ds = tmp_path / "ds"
+        assert run("gen-data", "--config", cfg_path, "--out", str(ds)) == 0
+        return ds
+
+    def solve_code(self, cfg_path, tmp_path, ds, capsys):
+        capsys.readouterr()
+        code = run("solve", "--config", cfg_path, "--dataset", str(ds),
+                   "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: ")
+        return code, err
+
+    def test_missing_sample_file(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        (ds / "y_1.f64").unlink()
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "y_1.f64" in err
+
+    def test_manifest_missing_key(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["m"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "'m'" in err
+
+    @pytest.mark.parametrize("name", ["y_0.f64", "c_2.f64"])
+    def test_non_finite_sample(self, cfg_path, tmp_path, capsys, name):
+        ds = self.gen(cfg_path, tmp_path)
+        vals = np.fromfile(ds / name, dtype="<f8")
+        vals[3] = np.nan
+        vals.tofile(ds / name)
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "non-finite" in err
+
+    def test_truncated_pgm(self, cfg_path, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        for i in range(3):
+            (images / f"im{i}.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+        (images / "im1.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(40))
+        capsys.readouterr()
+        code = run("gen-data", "--config", cfg_path, "--set",
+                   f"data.source={images}", "--out", str(tmp_path / "ds"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "im1.pgm" in err
+
+    def test_short_checkpoint_blob(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        ck = tmp_path / "ck"
+        assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+                   "--dataset", str(ds), "--out", str(ck)) == 0
+        blob = (ck / "params.bin").read_bytes()
+        (ck / "params.bin").write_bytes(blob[:-16])
+        capsys.readouterr()
+        code = run("eval", "--config", cfg_path, "--set", "train.epochs=1",
+                   "--dataset", str(ds), "--checkpoint", str(ck),
+                   "--out", str(tmp_path / "ev"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "checkpoint blob" in err
+
+
 class TestTrainEval:
     def test_train_then_eval_matches_final_mae(self, cfg_path, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cginvert.drcgnet import NetConfig, backward, forward, init_params
-from cginvert.sensing import SensingModel, measure
+from cginvert.sensing import SensingModel, build_radon, measure
 
 
 def fd_instance(seed=5, n=16, m=10):
@@ -76,6 +76,26 @@ class TestFiniteDifferences:
                         variant="ista", cov_kind=cov, gamma_max=1e6,
                         refine=True)
         check_gradients(model, y, cfg, rng, sample=8)
+
+    def test_direct_route(self):
+        # m=20 > n=16: the exact u-update solves the n x n system
+        model, y, rng = fd_instance(m=20)
+        cfg = NetConfig(K=1, J=2, depth=2, kernel=3, channels=(3, 1),
+                        variant="ista", cov_kind="scaled_identity",
+                        gamma_max=1e6, refine=True)
+        check_gradients(model, y, cfg, rng, sample=8)
+
+    def test_sparse_radon_route(self):
+        # m=27 < n=36 with sparse Psi and a diagonal P: the Woodbury system
+        # is formed from the sparse Psi
+        model = build_radon(6, 3)
+        rng = np.random.default_rng(12)
+        y = measure(model, rng.uniform(0.0, 1.0, model.n), 40.0, seed=2).y
+        cfg = NetConfig(K=1, J=2, depth=2, kernel=3, channels=(3, 1),
+                        variant="pgd", cov_kind="diagonal", gamma_max=1e6,
+                        refine=True)
+        check_gradients(model, y, cfg, rng, sample=8)
+        assert model._dense_a is None
 
     def test_active_step_clamp(self):
         # gamma small enough that the normalized-step branch is active

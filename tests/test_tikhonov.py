@@ -10,9 +10,12 @@ from cginvert.regularizer import ScaleRegularizer, cost
 from cginvert.sensing import SensingModel, build_radon
 from cginvert.tikhonov import (
     NagdConfig,
+    estimate_u_lipschitz,
     grad_u,
     r_u_step,
+    tikhonov_adjoint,
     tikhonov_exact,
+    tikhonov_factored,
     tikhonov_nagd,
     tikhonov_woodbury,
     u_objective,
@@ -186,6 +189,45 @@ class TestWoodbury:
                     ScaleRegularizer.log_squared(0.05),
                     gcgls.SolverConfig(K=2, J=2))
         assert model._dense_a is None
+
+
+def dense_u_system(z, model, p):
+    az = model.dense_a() * z[None, :]
+    return az.T @ az + np.linalg.inv(p.materialize())
+
+
+class TestAdjoint:
+    # dense Woodbury (m < n), direct (m > n) and sparse Radon Woodbury
+    # (m=27 < n=36; the diagonal kinds take the sparse formation)
+    OPERATORS = {
+        "gaussian_wide": lambda rng: SensingModel(
+            rng.standard_normal((6, 14)) / math.sqrt(14)),
+        "gaussian_tall": lambda rng: SensingModel(
+            rng.standard_normal((14, 6)) / math.sqrt(6)),
+        "radon": lambda rng: build_radon(6, 3),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("op", list(OPERATORS))
+    def test_matches_dense_solve(self, op, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        model = self.OPERATORS[op](rng)
+        y = rng.standard_normal(model.m)
+        z = rng.uniform(0.2, 2.0, model.n)
+        p = random_cov(kind, model.n, rng)
+        b = rng.standard_normal(model.n)
+        _, factor = tikhonov_factored(z, model, y, p)
+        w = tikhonov_adjoint(b, z, model, p, factor)
+        expect = np.linalg.solve(dense_u_system(z, model, p), b)
+        assert np.linalg.norm(w - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+class TestLipschitzEstimate:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_largest_eigenvalue(self, kind):
+        model, _, z, p = make_instance(6, 14, 40 + KINDS.index(kind), kind)
+        expect = np.linalg.eigvalsh(dense_u_system(z, model, p))[-1]
+        assert estimate_u_lipschitz(z, model, p) == pytest.approx(expect, rel=1e-6)
 
 
 class TestGradientStep:
