@@ -162,13 +162,16 @@ def _load_vector(in_dir, name, size):
 
 
 def load_dataset(in_dir):
-    """Read save_dataset output; missing files or keys, wrong lengths and
-    non-finite values raise DataError."""
+    """Read save_dataset output; missing files or keys, a manifest that is not
+    JSON, wrong lengths and non-finite values raise DataError."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no dataset manifest in {in_dir}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
     try:
         pairs = [(_load_vector(in_dir, f"y_{i}.f64", manifest["m"]),
                   _load_vector(in_dir, f"c_{i}.f64", manifest["n"]))

@@ -204,14 +204,30 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
 
 
 def load_checkpoint(path_dir):
-    """Read back a checkpoint; returns (NetParams, manifest dict)."""
+    """Read back a checkpoint; returns (NetParams, manifest dict).
+
+    A missing file, a manifest that is not JSON or lacks a key, and a blob
+    of the wrong length raise ConfigError.
+    """
     import os
 
-    with open(os.path.join(path_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    cfg = NetConfig.from_dict(manifest["net"])
-    blob = np.fromfile(os.path.join(path_dir, "params.bin"), dtype="<f8")
-    shapes = [tuple(manifest["shapes"][name]) for name in manifest["order"]]
+    path = os.path.join(path_dir, "manifest.json")
+    blob_path = os.path.join(path_dir, "params.bin")
+    for p in (path, blob_path):
+        if not os.path.exists(p):
+            raise ConfigError(f"missing checkpoint file {p}")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        cfg = NetConfig.from_dict(manifest["net"])
+        shapes = [tuple(manifest["shapes"][name]) for name in manifest["order"]]
+        n = manifest["n"]
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint manifest in {path_dir} lacks key {exc}") from None
+    blob = np.fromfile(blob_path, dtype="<f8")
     expected = sum(int(np.prod(shape)) for shape in shapes)
     if blob.size != expected:
         raise ConfigError(f"checkpoint blob has {blob.size} scalars, expected {expected}")
@@ -220,4 +236,4 @@ def load_checkpoint(path_dir):
         size = int(np.prod(shape))
         values[name] = blob[pos:pos + size].reshape(shape).astype(np.float64)
         pos += size
-    return NetParams(cfg, manifest["n"], values), manifest
+    return NetParams(cfg, n, values), manifest

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonMonotoneCostError
+from .errors import DataError, NonMonotoneCostError
 from .regularizer import CGState, TraceRecord, cost
 from .scale_step import (
     LinesearchConfig,
@@ -101,7 +101,10 @@ def _u_update(u_prev, z, model, y, p, cfg):
 
 
 def solve(model, y, p, r, cfg):
-    """Run the block-coordinate solver and return a SolveReport."""
+    """Run the block-coordinate solver and return a SolveReport; a
+    non-finite y raises DataError."""
+    if not np.isfinite(y).all():
+        raise DataError("measurements y hold non-finite values")
     t_start = time.monotonic()
     step = pgd_step if cfg.zstep_method == "pgd" else ista_step
 

@@ -123,40 +123,51 @@ class ScaleRegularizer:
 def _prox_log_squared(v, a, tol=1e-13):
     """argmin_{t > 0} 0.5*(t - v)^2 + a*log(t)^2 per coordinate (a > 0).
 
-    Global grid scan (the objective can be bimodal) followed by safeguarded
-    Newton on the stationarity residual with a bisection fallback.
+    The minimizer is a root of g(t) = t - v + 2a*log(t)/t in (1e-10,
+    max(v, 1) + 1].  Since (1 - log t)/t^2 >= -1/(2e^3), with equality at
+    t = e^{3/2}, g'(t) = 1 + 2a(1 - log t)/t^2 >= 1 - a/e^3: for a <= e^3
+    the objective is convex, g has one root, and safeguarded Newton starts
+    from v clipped into the bracket.  Above e^3 the objective can be bimodal,
+    so a 240-point log-grid scan first picks the global basin.  Newton runs
+    only on coordinates with |g| >= tol, with a bisection fallback whenever a
+    step leaves the bracket.
     """
     v = np.atleast_1d(v)
     hi = np.maximum(v, 1.0) + 1.0          # minimizer satisfies t <= max(v, 1)
     lo = np.full_like(hi, 1e-10)
-    npts = 240
-    # per-coordinate log grid from lo to hi
-    grid = lo[:, None] * (hi / lo)[:, None] ** (np.arange(npts) / (npts - 1.0))
-    lg = np.log(grid)
-    obj = 0.5 * (grid - v[:, None]) ** 2 + a * lg * lg
-    best = np.argmin(obj, axis=1)
-    t = grid[np.arange(v.size), best]
-    t_lo = grid[np.arange(v.size), np.maximum(best - 1, 0)]
-    t_hi = grid[np.arange(v.size), np.minimum(best + 1, npts - 1)]
+    if a <= np.exp(3.0):
+        t, t_lo, t_hi = np.clip(v, lo, hi), lo, hi
+    else:
+        npts = 240
+        # per-coordinate log grid from lo to hi
+        grid = lo[:, None] * (hi / lo)[:, None] ** (np.arange(npts) / (npts - 1.0))
+        lg = np.log(grid)
+        obj = 0.5 * (grid - v[:, None]) ** 2 + a * lg * lg
+        best = np.argmin(obj, axis=1)
+        t = grid[np.arange(v.size), best]
+        t_lo = grid[np.arange(v.size), np.maximum(best - 1, 0)]
+        t_hi = grid[np.arange(v.size), np.minimum(best + 1, npts - 1)]
 
-    def resid(t_):
-        return (t_ - v) + 2.0 * a * np.log(t_) / t_
-
-    def dresid(t_):
-        return 1.0 + 2.0 * a * (1.0 - np.log(t_)) / (t_ * t_)
-
+    # Newton state of the coordinates not yet converged; t holds the rest
+    act = np.arange(v.size)
+    ta, va = t, v
     for _ in range(100):
-        r = resid(t)
-        if np.all(np.abs(r) < tol):
+        lga = np.log(ta)
+        r = (ta - va) + 2.0 * a * lga / ta
+        live = np.abs(r) >= tol
+        if not live.any():
             break
+        if not live.all():
+            act, ta, va, r, lga = act[live], ta[live], va[live], r[live], lga[live]
+            t_lo, t_hi = t_lo[live], t_hi[live]
         # contract the bisection bracket around the root
         neg = r < 0.0
-        t_lo = np.where(neg, t, t_lo)
-        t_hi = np.where(neg, t_hi, t)
-        step = r / dresid(t)
-        cand = t - step
+        t_lo = np.where(neg, ta, t_lo)
+        t_hi = np.where(neg, t_hi, ta)
+        cand = ta - r / (1.0 + 2.0 * a * (1.0 - lga) / (ta * ta))
         bad = (cand <= t_lo) | (cand >= t_hi) | ~np.isfinite(cand)
-        t = np.where(bad, 0.5 * (t_lo + t_hi), cand)
+        ta = np.where(bad, 0.5 * (t_lo + t_hi), cand)
+        t[act] = ta
     return t
 
 

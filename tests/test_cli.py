@@ -161,6 +161,12 @@ class TestMalformedInput:
         code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
         assert code == 3 and "non-finite" in err
 
+    def test_manifest_invalid_json(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        (ds / "manifest.json").write_text('{"m": 3,')
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "not valid JSON" in err
+
     def test_truncated_pgm(self, cfg_path, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -174,20 +180,52 @@ class TestMalformedInput:
         assert code == 3
         assert err.count("\n") == 1 and "im1.pgm" in err
 
-    def test_short_checkpoint_blob(self, cfg_path, tmp_path, capsys):
+    def eval_corrupt_checkpoint(self, cfg_path, tmp_path, capsys, corrupt):
+        """Train one epoch, apply corrupt(ck) and return eval's stderr."""
         ds = self.gen(cfg_path, tmp_path)
         ck = tmp_path / "ck"
         assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
                    "--dataset", str(ds), "--out", str(ck)) == 0
-        blob = (ck / "params.bin").read_bytes()
-        (ck / "params.bin").write_bytes(blob[:-16])
+        corrupt(ck)
         capsys.readouterr()
         code = run("eval", "--config", cfg_path, "--set", "train.epochs=1",
                    "--dataset", str(ds), "--checkpoint", str(ck),
                    "--out", str(tmp_path / "ev"))
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and "checkpoint blob" in err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        return err
+
+    def test_short_checkpoint_blob(self, cfg_path, tmp_path, capsys):
+        def corrupt(ck):
+            blob = (ck / "params.bin").read_bytes()
+            (ck / "params.bin").write_bytes(blob[:-16])
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "checkpoint blob" in err
+
+    @pytest.mark.parametrize("key", ["net", "order", "shapes", "n"])
+    def test_checkpoint_manifest_missing_key(self, cfg_path, tmp_path, capsys, key):
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            del manifest[key]
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert f"'{key}'" in err
+
+    def test_checkpoint_manifest_invalid_json(self, cfg_path, tmp_path, capsys):
+        def corrupt(ck):
+            (ck / "manifest.json").write_text('{"net": {')
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
+    def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):
+        err = self.eval_corrupt_checkpoint(
+            cfg_path, tmp_path, capsys, lambda ck: (ck / name).unlink())
+        assert name in err
 
 
 class TestTrainEval:

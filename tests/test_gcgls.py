@@ -6,7 +6,7 @@ import pytest
 
 from cginvert import gcgls
 from cginvert.covariance import CovarianceParam
-from cginvert.errors import NonMonotoneCostError, NumericalError
+from cginvert.errors import DataError, NonMonotoneCostError, NumericalError
 from cginvert.gcgls import SolverConfig, diagnostics, initial_scale, solve
 from cginvert.regularizer import ScaleRegularizer
 from cginvert.scale_step import LinesearchConfig
@@ -168,6 +168,16 @@ class TestSolve:
         monkeypatch.setattr(gcgls, "cost", cost_with_nan)
         with pytest.raises(NonMonotoneCostError, match=block):
             solve(model, y, p, ScaleRegularizer.zero(), SolverConfig(K=1, J=2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_y_raises_data_error(self, bad):
+        model, rng = normalized_instance(6, 9, 14)
+        y = rng.standard_normal(6)
+        y[2] = bad
+        p = CovarianceParam.scaled_identity(9, 1.0)
+        with pytest.raises(DataError, match="non-finite"):
+            solve(model, y, p, ScaleRegularizer.log_squared(1.0),
+                  SolverConfig(K=1, J=1))
 
     def test_c_star_is_elementwise_product(self):
         model, rng = normalized_instance(6, 9, 12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cginvert import regularizer
 from cginvert.covariance import CovarianceParam
 from cginvert.errors import DomainError
 from cginvert.regularizer import (
@@ -154,6 +155,66 @@ class TestProx:
             obj = 0.5 * (grid - v[k]) ** 2 + eta * mu * lg2
             best = grid[np.argmin(obj)]
             assert abs(out[k] - best) < 1e-3
+
+    @staticmethod
+    def assert_global_minimizer(out, v, a):
+        """out matches the argmin of 0.5*(t - v)^2 + a*log(t)^2 on a fine grid."""
+        grid = np.arange(1e-4, v.max() + 2.0, 1e-4)
+        lg2 = np.log(grid) ** 2
+        for k in range(v.size):
+            obj = 0.5 * (grid - v[k]) ** 2 + a * lg2
+            best = np.argmin(obj)
+            assert abs(out[k] - grid[best]) < 1e-3
+            f_out = 0.5 * (out[k] - v[k]) ** 2 + a * math.log(out[k]) ** 2
+            assert f_out <= obj[best] + 1e-12
+
+    def test_bimodal_grid_branch_oracle(self):
+        # a = 40 > e^3: three stationary points for v in about (28.4, 32.3),
+        # so picking the root nearest v can land in the wrong basin
+        mu, eta = 1.0, 40.0
+        v = np.array([0.5, 5.0, 20.0, 28.0, 29.0, 30.0, 31.0, 32.0, 33.0, 45.0])
+        out = ScaleRegularizer.log_squared(mu).prox(v, eta)
+        self.assert_global_minimizer(out, v, eta * mu)
+
+    def test_nearly_flat_convex_branch_oracle(self):
+        # a = 20 just below e^3: g' = 1 - a/e^3 ~ 4e-3 at t = e^{3/2}, the
+        # root for v = e^{3/2} + 2a*3/2/e^{3/2} ~ 17.87
+        a = 20.0
+        t0 = math.exp(1.5)
+        v = np.concatenate([t0 + np.linspace(-2.0, 2.0, 5),
+                            t0 + 3.0 * a / t0 + np.linspace(-3.0, 3.0, 7)])
+        out = ScaleRegularizer.log_squared(1.0).prox(v, a)
+        self.assert_global_minimizer(out, v, a)
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-4, 0.05, 5.0])
+    def test_fixed_points_next_to_hard_coordinates(self, a):
+        r = ScaleRegularizer.log_squared(1.0)
+        v = np.array([1.0, -3.0, 1.0, 0.0, 1.0, 50.0, 1.0, 80.0, 1.0, -0.5])
+        out = r.prox(v, a)
+        fixed = v == 1.0
+        assert np.all(out[fixed] == 1.0)
+        resid = (out - v) + a * r.grad(out)
+        assert np.abs(resid[~fixed]).max() < 1e-12
+        assert np.all(out > 0.0)
+
+    def test_converged_coordinates_are_not_revisited(self, monkeypatch):
+        # each Newton pass takes one log of the coordinates it evaluates
+        evaluated = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def log(self, x):
+                evaluated.append(np.size(x))
+                return np.log(x)
+
+        monkeypatch.setattr(regularizer, "np", CountingNumpy())
+        hard = np.array([-3.0, 0.0, 50.0, 80.0, -0.5])
+        v = np.concatenate([np.ones(1000), hard])
+        out = ScaleRegularizer.log_squared(1.0).prox(v, 0.05)
+        assert np.all(out[:1000] == 1.0)
+        assert sum(evaluated) <= v.size + 100 * hard.size
 
     def test_first_order_condition(self):
         rng = np.random.default_rng(10)
