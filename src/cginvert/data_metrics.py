@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_manifest
 from .imageio import read_pgm
 from .sensing import measure
 
@@ -163,15 +163,13 @@ def _load_vector(in_dir, name, size):
 
 def load_dataset(in_dir):
     """Read save_dataset output; missing files or keys, a manifest that is not
-    JSON, wrong lengths and non-finite values raise DataError."""
+    a JSON object or has a mistyped value, wrong lengths and non-finite
+    values raise DataError."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no dataset manifest in {in_dir}")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    manifest = read_manifest(path, DataError, {
+        "m": int, "n": int, "n_samples": int, "side": int, "seeds": list})
     try:
         pairs = [(_load_vector(in_dir, f"y_{i}.f64", manifest["m"]),
                   _load_vector(in_dir, f"c_{i}.f64", manifest["n"]))

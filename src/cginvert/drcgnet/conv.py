@@ -1,60 +1,71 @@
-"""Zero-padded same-size 2-D convolutions (correlation convention) with
-explicit im2col forward and the matching reverse-mode backward.
+"""Zero-padded same-size 2-D convolutions (correlation convention), one
+GEMM per kernel tap, and the matching reverse-mode backward.
 
 Kernel tensors have shape (k, k, c_in, c_out); feature maps are
-(channels, side, side).  No bias terms anywhere.
+(channels, h, w).  No bias terms anywhere.  The padded input xp, the only
+thing kept for backward, is x zero-padded by pad = k // 2 on every side
+plus one zero row at the bottom, rows flattened to (c_in, (h+2pad+1)*wp)
+with wp = w + 2pad.  Tap (di, dj) reads the column slice of length h*wp
+starting at di*wp + dj; the extra row keeps the last slice in bounds, and
+the last 2pad columns of each output row are dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["conv2d_forward", "conv2d_backward", "glorot_uniform"]
+__all__ = ["conv2d_forward", "conv2d_backward", "glorot_uniform", "interior"]
 
 
-def _im2col(x, k):
-    cin, h, w = x.shape
+def interior(xp, k, h, w):
+    """The (c, h, w) view of the unpadded map inside a padded buffer."""
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((h * w, cin, k, k))
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj] = xp[:, di:di + h, dj:dj + w].reshape(cin, h * w).T
-    return cols
+    return xp.reshape(xp.shape[0], h + 2 * pad + 1, w + 2 * pad)[
+        :, pad:pad + h, pad:pad + w]
 
 
 def conv2d_forward(x, kern):
     """Correlate x (c_in, h, w) with kern (k, k, c_in, c_out).
 
-    Returns (out, cols) where out is (c_out, h, w) and cols is the im2col
-    matrix reused by the backward pass.
+    Returns (out, xp) where out is (c_out, h, w) and xp is the padded,
+    row-flattened input that the backward pass reads its windows from.
     """
     cin, h, w = x.shape
     k = kern.shape[0]
-    cols = _im2col(x, k)
-    wmat = kern.transpose(2, 0, 1, 3).reshape(cin * k * k, -1)
-    out = cols.reshape(h * w, -1) @ wmat
-    return out.T.reshape(-1, h, w), cols
-
-
-def conv2d_backward(dout, cols, kern, x_shape):
-    """Gradients of conv2d_forward w.r.t. its input and kernel.
-
-    dout is (c_out, h, w); returns (dx, dkern) with the original shapes.
-    """
-    cin, h, w = x_shape
-    k = kern.shape[0]
     pad = k // 2
-    dmat = dout.reshape(-1, h * w).T                        # (hw, cout)
-    dkern = (cols.reshape(h * w, -1).T @ dmat)              # (cin*k*k, cout)
-    dkern = dkern.reshape(cin, k, k, -1).transpose(1, 2, 0, 3)
-    wmat = kern.transpose(2, 0, 1, 3).reshape(cin * k * k, -1)
-    dcols = (dmat @ wmat.T).reshape(h * w, cin, k, k)
-    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
+    wp = w + 2 * pad
+    span = h * wp
+    xp = np.zeros((cin, (h + 2 * pad + 1) * wp))
+    interior(xp, k, h, w)[...] = x
+    out = np.zeros((kern.shape[3], span))
     for di in range(k):
         for dj in range(k):
-            dxp[:, di:di + h, dj:dj + w] += dcols[:, :, di, dj].T.reshape(cin, h, w)
-    return dxp[:, pad:pad + h, pad:pad + w], dkern
+            o = di * wp + dj
+            out += kern[di, dj].T @ xp[:, o:o + span]
+    return out.reshape(-1, h, wp)[:, :, :w], xp
+
+
+def conv2d_backward(dout, xp, kern, x_shape):
+    """Gradients of conv2d_forward w.r.t. its input and kernel.
+
+    dout is (c_out, h, w) and xp the padded input conv2d_forward returned;
+    returns (dx, dkern) with the shapes of x and kern.
+    """
+    _, h, w = x_shape
+    k = kern.shape[0]
+    wp = w + 2 * (k // 2)
+    span = h * wp
+    d = np.zeros((dout.shape[0], h, wp))
+    d[:, :, :w] = dout
+    d = d.reshape(-1, span)
+    dkern = np.empty(kern.shape)
+    dxp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            o = di * wp + dj
+            dkern[di, dj] = xp[:, o:o + span] @ d.T
+            dxp[:, o:o + span] += kern[di, dj] @ d
+    return interior(dxp, k, h, w), dkern
 
 
 def glorot_uniform(rng, k, cin, cout):

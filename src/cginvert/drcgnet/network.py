@@ -24,7 +24,7 @@ from ..tikhonov import (
 # Unused here, but perfbench/tracing.py wraps these names in this module and
 # fails without them; drop this line once its TARGETS stop listing them.
 from ..tikhonov import _tikhonov_direct_with_factor, _tikhonov_woodbury_with_factor, sla  # noqa: E501,F401
-from .conv import conv2d_backward, conv2d_forward
+from .conv import conv2d_backward, conv2d_forward, interior
 
 __all__ = ["subnet_forward", "intermediate_map", "forward", "backward", "Tape"]
 
@@ -35,14 +35,16 @@ def _stack_forward(kernels, x_vec, side):
     """Run the D-layer stack on a vector: mat -> convs -> vec.
 
     ReLU follows every layer except the last (linear output layer).
-    Returns (out_vec, cache) with per-layer (input, cols, preact).
+    Returns (out_vec, cache) where cache holds each layer's padded input
+    (the xp of conv2d_forward) and nothing else: the ReLU mask of layer d
+    is the positive part of layer d+1's input.
     """
     a = x_vec.reshape(1, side, side)
     cache = []
     last = len(kernels) - 1
     for d, kern in enumerate(kernels):
-        out, cols = conv2d_forward(a, kern)
-        cache.append((a, cols, out))
+        out, xp = conv2d_forward(a, kern)
+        cache.append(xp)
         a = out if d == last else np.maximum(out, 0.0)
     return a.reshape(-1), cache
 
@@ -53,10 +55,11 @@ def _stack_backward(dout_vec, kernels, cache, side):
     dkerns = [None] * len(kernels)
     last = len(kernels) - 1
     for d in range(last, -1, -1):
-        a_in, cols, pre = cache[d]
         if d != last:
-            da = da * (pre > 0.0)
-        da, dkerns[d] = conv2d_backward(da, cols, kernels[d], a_in.shape)
+            nxt = interior(cache[d + 1], kernels[d + 1].shape[0], side, side)
+            da = da * (nxt > 0.0)
+        da, dkerns[d] = conv2d_backward(
+            da, cache[d], kernels[d], (kernels[d].shape[2], side, side))
     return da.reshape(-1), dkerns
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..covariance import CovarianceParam
-from ..errors import ConfigError
+from ..errors import ConfigError, read_manifest
 from .conv import glorot_uniform
 
 __all__ = ["NetConfig", "TrainConfig", "NetParams", "param_count",
@@ -206,8 +206,8 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
 def load_checkpoint(path_dir):
     """Read back a checkpoint; returns (NetParams, manifest dict).
 
-    A missing file, a manifest that is not JSON or lacks a key, and a blob
-    of the wrong length raise ConfigError.
+    A missing file, a manifest that is not a JSON object, lacks a key or
+    has a mistyped value, and a blob of the wrong length raise ConfigError.
     """
     import os
 
@@ -216,17 +216,17 @@ def load_checkpoint(path_dir):
     for p in (path, blob_path):
         if not os.path.exists(p):
             raise ConfigError(f"missing checkpoint file {p}")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    manifest = read_manifest(path, ConfigError, {
+        "net": dict, "order": list, "shapes": dict, "n": int})
     try:
         cfg = NetConfig.from_dict(manifest["net"])
-        shapes = [tuple(manifest["shapes"][name]) for name in manifest["order"]]
+        shapes = [tuple(int(d) for d in manifest["shapes"][name])
+                  for name in manifest["order"]]
         n = manifest["n"]
     except KeyError as exc:
         raise ConfigError(f"checkpoint manifest in {path_dir} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint manifest in {path_dir} is malformed: {exc}") from None
     blob = np.fromfile(blob_path, dtype="<f8")
     expected = sum(int(np.prod(shape)) for shape in shapes)
     if blob.size != expected:

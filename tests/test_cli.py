@@ -103,6 +103,20 @@ class TestSolve:
         b = (tmp_path / "o2" / "metrics.csv").read_bytes()
         assert a == b
 
+    def test_train_rerun_identical_bytes(self, cfg_path, tmp_path):
+        # train writes no timings, so it needs no --repro to be byte-stable
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--out", str(ds))
+        for sub in ("t1", "t2"):
+            assert run("train", "--config", cfg_path, "--dataset", str(ds),
+                       "--out", str(tmp_path / sub)) == 0
+        names = sorted(os.listdir(tmp_path / "t1"))
+        assert names == ["loss_history.csv", "manifest.json", "params.bin"]
+        assert names == sorted(os.listdir(tmp_path / "t2"))
+        for name in names:
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / "t2" / name).read_bytes(), name
+
     def test_jobs_parallel_matches_serial(self, cfg_path, tmp_path):
         ds = tmp_path / "ds"
         run("gen-data", "--config", cfg_path, "--out", str(ds))
@@ -167,6 +181,20 @@ class TestMalformedInput:
         code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
         assert code == 3 and "not valid JSON" in err
 
+    def test_manifest_not_an_object(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        (ds / "manifest.json").write_text("[1, 2]")
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "not an object" in err
+
+    def test_manifest_mistyped_value(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["m"] = "3"
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "'m' should be int, not str" in err
+
     def test_truncated_pgm(self, cfg_path, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -220,6 +248,30 @@ class TestMalformedInput:
 
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
         assert "not valid JSON" in err
+
+    def test_checkpoint_manifest_not_an_object(self, cfg_path, tmp_path, capsys):
+        def corrupt(ck):
+            (ck / "manifest.json").write_text("[1, 2]")
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "not an object" in err
+
+    @pytest.mark.parametrize("path,expect", [
+        (("n",), "'n' should be int, not str"),
+        (("net", "K"), "malformed"),
+        (("shapes", "w.1.1.1"), "malformed")], ids=["n", "net.K", "shape"])
+    def test_checkpoint_manifest_mistyped_value(self, cfg_path, tmp_path, capsys,
+                                                path, expect):
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = "x"
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert expect in err
 
     @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
     def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):

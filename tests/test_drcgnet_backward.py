@@ -97,6 +97,16 @@ class TestFiniteDifferences:
         check_gradients(model, y, cfg, rng, sample=8)
         assert model._dense_a is None
 
+    def test_paper_channel_widths(self):
+        # 32-channel layers meet: each ReLU mask comes from the next
+        # layer's padded input instead of a stored pre-activation
+        model, y, rng = fd_instance(seed=9, n=36, m=20)
+        cfg = NetConfig(K=1, J=1, depth=8, kernel=3,
+                        channels=(32,) * 7 + (1,), variant="pgd",
+                        cov_kind="scaled_identity", gamma_max=1e6,
+                        refine=True)
+        check_gradients(model, y, cfg, rng, sample=6)
+
     def test_active_step_clamp(self):
         # gamma small enough that the normalized-step branch is active
         model, y, rng = fd_instance(seed=8)

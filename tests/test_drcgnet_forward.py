@@ -7,6 +7,7 @@ from scipy.signal import correlate2d
 from cginvert.covariance import CovarianceParam
 from cginvert.drcgnet import (
     NetConfig,
+    conv2d_backward,
     conv2d_forward,
     forward,
     init_params,
@@ -25,20 +26,61 @@ def small_model(m, n, seed):
     return SensingModel(rng.standard_normal((m, n)) / math.sqrt(n)), rng
 
 
+# (c_in, c_out, k, h, w): k in {1, 3, 5}, single-channel ends, h != w
+CONV_CASES = [(1, 3, 3, 5, 5), (2, 4, 3, 6, 6), (3, 1, 5, 7, 7),
+              (2, 3, 1, 4, 4), (1, 1, 5, 6, 6), (3, 2, 3, 5, 8)]
+
+
+def conv_case(case, seed):
+    cin, cout, k, h, w = case
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((cin, h, w)),
+            rng.standard_normal((k, k, cin, cout)),
+            rng.standard_normal((cout, h, w)))
+
+
 class TestConv:
     def test_matches_scipy_correlate(self):
-        rng = np.random.default_rng(0)
-        for cin, cout, k, side in ((1, 3, 3, 5), (2, 4, 3, 6), (3, 1, 5, 7)):
-            x = rng.standard_normal((cin, side, side))
-            kern = rng.standard_normal((k, k, cin, cout))
+        for seed, case in enumerate(CONV_CASES):
+            x, kern, _ = conv_case(case, seed)
+            cin, cout, _, h, w = case
             out, _ = conv2d_forward(x, kern)
-            assert out.shape == (cout, side, side)
+            assert out.shape == (cout, h, w)
             for co in range(cout):
                 expect = sum(
                     correlate2d(x[ci], kern[:, :, ci, co], mode="same",
                                 boundary="fill")
                     for ci in range(cin))
                 assert np.allclose(out[co], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_input_gradient_is_adjoint(self, case):
+        # <conv(x), d> = <x, dx>: the backward is the forward's transpose
+        x, kern, d = conv_case(case, 1)
+        out, xp = conv2d_forward(x, kern)
+        dx, _ = conv2d_backward(d, xp, kern, x.shape)
+        assert dx.shape == x.shape
+        lhs, rhs = float(np.vdot(out, d)), float(np.vdot(x, dx))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_kernel_gradient_matches_loop(self, case):
+        cin, cout, k, h, w = case
+        x, kern, d = conv_case(case, 2)
+        _, xp = conv2d_forward(x, kern)
+        _, dkern = conv2d_backward(d, xp, kern, x.shape)
+        pad = k // 2
+        xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        expect = np.zeros((k, k, cin, cout))
+        for di in range(k):
+            for dj in range(k):
+                for ci in range(cin):
+                    for co in range(cout):
+                        for i in range(h):
+                            for j in range(w):
+                                expect[di, dj, ci, co] += \
+                                    xpad[ci, i + di, j + dj] * d[co, i, j]
+        assert np.allclose(dkern, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestSubnet:
@@ -175,6 +217,38 @@ class TestForward:
         assert tape.count("tikhonov") == 4      # U_0..U_3
         assert tape.count("hadamard") == 1
         assert out.shape == (n,)
+
+    def test_tape_keeps_only_padded_stack_inputs(self):
+        # paper channel widths on a 6x6 image: each conv keeps its padded
+        # input, never the (h*w, c_in, k, k) im2col matrix
+        side, k = 6, 3
+        channels = (32,) * 7 + (1,)
+        model, rng = small_model(20, side * side, 13)
+        cfg = NetConfig(K=1, J=1, depth=8, kernel=k, channels=channels,
+                        variant="ista", refine=True)
+        params = init_params(cfg, side * side, seed=0, cov_init=0.5)
+        _, tape = forward(rng.standard_normal(20), model, params)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v)
+
+        pad = k // 2
+        padded = (side + 2 * pad + 1) * (side + 2 * pad)
+        stacks = [rec["cache"] for kind, rec in tape.records if kind == "gmap"]
+        assert len(stacks) == 2
+        for cache in stacks:
+            assert len(cache) == 8
+            for cin, entry in zip(cfg.layer_channels(), cache):
+                assert sum(a.size for a in arrays(entry)) <= cin * padded
+        for a in arrays(tape.records):
+            assert not (a.ndim == 4 and a.shape[0] == side * side)
 
     def test_needs_square_signal(self):
         model, rng = small_model(4, 6, 12)
