@@ -68,6 +68,8 @@ def _image_domain(model, c):
 
 def cmd_gen_data(args):
     cfg = _load_cfg(args)
+    if cfg.get("data.samples") < 1:
+        raise ConfigError("data.samples must be >= 1")
     model = cfgmod.build_model(cfg)
     ds = gen_dataset(cfg.get("data.source"), model, cfg.get("data.snr_db"),
                      cfg.get("data.samples"), cfg.get("data.seed"))
@@ -146,13 +148,13 @@ def cmd_train(args):
     _check_fingerprint(model, ds)
     net_cfg = cfgmod.build_net_config(cfg)
     train_cfg = cfgmod.build_train_config(cfg)
-    cov_init = cfgmod.default_cov_init(cfg)
+    params = cfgmod.build_init_params(cfg, net_cfg, model.n)
     train_pairs, val_pairs = _split_validation(ds, cfg.get("train.val_fraction"))
     if train_cfg.patience is not None and val_pairs is None:
         raise ConfigError("train.patience needs train.val_fraction > 0")
 
     params, history = train(train_pairs, model, net_cfg, train_cfg,
-                            val_pairs=val_pairs, cov_init=cov_init)
+                            val_pairs=val_pairs, params=params)
     losses = {"train_mae": history["train_mae"], "val_mae": history["val_mae"]}
     save_checkpoint(args.out, params, train_cfg=train_cfg,
                     epoch=len(history["train_mae"]), losses=losses,
@@ -209,6 +211,8 @@ def cmd_diagnose(args):
     p = cfgmod.build_covariance(cfg, model.n)
     r = cfgmod.build_regularizer(cfg)
     scfg = cfgmod.build_solver_config(cfg)
+    if not 0 <= args.index < len(ds):
+        raise ConfigError(f"--index {args.index} is outside [0, {len(ds)})")
     y, _ = ds.pairs[args.index]
     rep = solve(model, y, p, r, scfg)
     summ = diagnostics(rep)

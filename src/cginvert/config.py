@@ -7,7 +7,7 @@ data.*.  Unknown keys are rejected by name; CLI --set overrides file values.
 from __future__ import annotations
 
 from .covariance import CovarianceParam
-from .drcgnet.params import NetConfig, TrainConfig
+from .drcgnet.params import NetConfig, TrainConfig, init_params
 from .errors import ConfigError
 from .gcgls import SolverConfig
 from .regularizer import ScaleRegularizer
@@ -16,7 +16,8 @@ from .sensing import SensingModel, build_dct, build_gaussian, build_radon
 from .tikhonov import NagdConfig
 
 __all__ = ["RunConfig", "build_model", "build_regularizer", "build_covariance",
-           "build_solver_config", "build_net_config", "build_train_config"]
+           "build_solver_config", "build_net_config", "build_train_config",
+           "build_init_params"]
 
 
 def _bool(s):
@@ -149,19 +150,20 @@ def build_model(cfg):
     side = cfg.get("sensing.side")
     n = side * side
     scale = cfg.get("sensing.scale")
-    if kind == "radon":
-        base = build_radon(side, cfg.get("sensing.angles"))
-        psi = base.psi
-        meta = dict(base.meta)
-    elif kind == "gaussian":
-        m = cfg.get("sensing.m")
-        if m is None:
-            raise ConfigError("missing required configuration key: sensing.m")
-        base = build_gaussian(m, n, cfg.get("sensing.seed"))
-        psi = base.psi
-        meta = dict(base.meta)
-    else:
-        raise ConfigError(f"unknown sensing.kind: {kind}")
+    try:
+        if kind == "radon":
+            base = build_radon(side, cfg.get("sensing.angles"))
+        elif kind == "gaussian":
+            m = cfg.get("sensing.m")
+            if m is None:
+                raise ConfigError("missing required configuration key: sensing.m")
+            base = build_gaussian(m, n, cfg.get("sensing.seed"))
+        else:
+            raise ConfigError(f"unknown sensing.kind: {kind}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    psi = base.psi
+    meta = dict(base.meta)
     if scale != 1.0:
         psi = psi * scale
         meta["scale"] = scale
@@ -238,6 +240,9 @@ def build_net_config(cfg):
 
 
 def build_train_config(cfg):
+    # train() accepts zero epochs, but the command reports the last epoch's loss
+    if cfg.get("train.epochs") < 1:
+        raise ConfigError("train.epochs must be >= 1")
     try:
         return TrainConfig(
             lr=cfg.get("train.lr"),
@@ -253,10 +258,14 @@ def build_train_config(cfg):
         raise ConfigError(str(exc))
 
 
-def default_cov_init(cfg):
-    """Covariance initialization: configured value, else 0.1 for the Radon
-    operator and 10 for Gaussian sensing."""
-    explicit = cfg.get("net.cov_init")
-    if explicit is not None:
-        return explicit
-    return 0.1 if cfg.get("sensing.kind") == "radon" else 10.0
+def build_init_params(cfg, net_cfg, n):
+    """Fresh network parameters seeded by train.seed, with the covariance at
+    net.cov_init * I: by default 0.1 for the Radon operator and 10 for
+    Gaussian sensing."""
+    cov_init = cfg.get("net.cov_init")
+    if cov_init is None:
+        cov_init = 0.1 if cfg.get("sensing.kind") == "radon" else 10.0
+    try:
+        return init_params(net_cfg, n, seed=cfg.get("train.seed"), cov_init=cov_init)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -1,77 +1,103 @@
 """Structured SPD covariance parameterizations for the Gaussian factor.
 
 Four structures are supported, each guaranteed symmetric positive definite
-through a floor eps:
+through a finite floor eps > 0:
 
     scaled identity  P = max(lam, eps) * I
     diagonal         P = Diag(max(lam_i, eps))
     tridiagonal      P = L L^T + eps*I, L lower-bidiagonal from (d1, d2)
     full             P = L L^T + eps*I, L lower-triangular
+
+This module is the only one that knows the structures: a CovarianceParam
+holds its learnable arrays under their checkpoint names and chains
+gradients back onto them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg as sla
 
 __all__ = ["CovarianceParam"]
 
-KINDS = ("scaled_identity", "diagonal", "tridiagonal", "full")
+# kind -> {checkpoint name: shape} of its learnable arrays for signal length n
+_SHAPES = {
+    "scaled_identity": lambda n: {"cov.lam": (1,)},
+    "diagonal": lambda n: {"cov.diag": (n,)},
+    "tridiagonal": lambda n: {"cov.d1": (n,), "cov.d2": (n - 1,)},
+    "full": lambda n: {"cov.L": (n * (n + 1) // 2,)},
+}
+KINDS = tuple(_SHAPES)
 
 
 class CovarianceParam:
-    """A structured covariance P with cached solves."""
+    """A structured covariance P with cached solves.
 
-    def __init__(self, kind, n, eps=1e-4, lam=None, diag=None, d1=None, d2=None, tril=None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown covariance kind {kind!r}")
+    arrays maps each learnable array of the kind to its values under its
+    checkpoint name; other entries are ignored, so a network's whole
+    parameter dict can be passed.  A kind, floor or array shape outside
+    the documented ones raises ValueError.
+    """
+
+    def __init__(self, kind, n, arrays, eps=1e-4):
+        self.check(kind, eps)
         self.kind = kind
         self.n = n
         self.eps = float(eps)
-        self.lam = None if lam is None else float(lam)
-        self.diag = None if diag is None else np.asarray(diag, dtype=np.float64)
-        self.d1 = None if d1 is None else np.asarray(d1, dtype=np.float64)
-        self.d2 = None if d2 is None else np.asarray(d2, dtype=np.float64)
-        self.tril = None if tril is None else np.asarray(tril, dtype=np.float64)
-        self._check_shapes()
+        self.arrays = {}
+        for name, shape in self.array_shapes(kind, n).items():
+            if name not in arrays:
+                raise ValueError(f"{kind} covariance needs {name}")
+            a = np.asarray(arrays[name], dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{kind} covariance needs {name} of shape "
+                                 f"{shape}, got {a.shape}")
+            self.arrays[name] = a
         self._dense = None
         self._cho = None
 
-    def _check_shapes(self):
-        k, n = self.kind, self.n
-        if k == "scaled_identity" and self.lam is None:
-            raise ValueError("scaled_identity needs lam")
-        if k == "diagonal" and (self.diag is None or self.diag.shape != (n,)):
-            raise ValueError("diagonal needs a length-n diag vector")
-        if k == "tridiagonal":
-            if self.d1 is None or self.d1.shape != (n,):
-                raise ValueError("tridiagonal needs d1 of length n")
-            if self.d2 is None or self.d2.shape != (n - 1,):
-                raise ValueError("tridiagonal needs d2 of length n-1")
-        if k == "full" and (self.tril is None or self.tril.shape != (n * (n + 1) // 2,)):
-            raise ValueError("full needs a packed lower triangle of length n(n+1)/2")
+    @staticmethod
+    def check(kind, eps):
+        """Raise ValueError unless kind is known and eps is finite and > 0."""
+        if kind not in _SHAPES:
+            raise ValueError(f"unknown covariance kind {kind!r}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"covariance floor eps must be finite and > 0, "
+                             f"got {eps!r}")
+
+    @staticmethod
+    def array_shapes(kind, n):
+        """{checkpoint name: shape} of the learnable arrays of a kind."""
+        return _SHAPES[kind](n)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def scaled_identity(cls, n, lam, eps=1e-4):
-        return cls("scaled_identity", n, eps=eps, lam=lam)
+        return cls("scaled_identity", n, {"cov.lam": [lam]}, eps)
 
     @classmethod
     def diagonal(cls, n, diag, eps=1e-4):
-        return cls("diagonal", n, eps=eps, diag=diag)
+        return cls("diagonal", n, {"cov.diag": diag}, eps)
 
     @classmethod
     def tridiagonal(cls, n, d1, d2, eps=1e-4):
-        return cls("tridiagonal", n, eps=eps, d1=d1, d2=d2)
+        return cls("tridiagonal", n, {"cov.d1": d1, "cov.d2": d2}, eps)
 
     @classmethod
     def full(cls, n, tril, eps=1e-4):
-        return cls("full", n, eps=eps, tril=tril)
+        return cls("full", n, {"cov.L": tril}, eps)
 
     @classmethod
     def init_default(cls, kind, n, diag_value, eps=1e-4):
-        """Initialize so that the realized P equals diag_value * I exactly."""
+        """Initialize so that the realized P equals max(diag_value, eps) * I
+        exactly; a non-finite diag_value raises ValueError."""
+        if not math.isfinite(diag_value):
+            raise ValueError(f"covariance initial value must be finite, "
+                             f"got {diag_value!r}")
+        cls.check(kind, eps)
         if kind == "scaled_identity":
             return cls.scaled_identity(n, diag_value, eps)
         if kind == "diagonal":
@@ -79,31 +105,10 @@ class CovarianceParam:
         root = np.sqrt(max(diag_value - eps, 0.0))
         if kind == "tridiagonal":
             return cls.tridiagonal(n, np.full(n, root), np.zeros(n - 1), eps)
-        if kind == "full":
-            tril = np.zeros(n * (n + 1) // 2)
-            tril[_diag_positions(n)] = root
-            return cls.full(n, tril, eps)
-        raise ValueError(f"unknown covariance kind {kind!r}")
-
-    def param_arrays(self):
-        """Learnable arrays in canonical order (for flattening/training)."""
-        if self.kind == "scaled_identity":
-            return {"cov.lam": np.array([self.lam])}
-        if self.kind == "diagonal":
-            return {"cov.diag": self.diag}
-        if self.kind == "tridiagonal":
-            return {"cov.d1": self.d1, "cov.d2": self.d2}
-        return {"cov.L": self.tril}
-
-    @classmethod
-    def from_param_arrays(cls, kind, n, arrays, eps=1e-4):
-        if kind == "scaled_identity":
-            return cls.scaled_identity(n, float(arrays["cov.lam"][0]), eps)
-        if kind == "diagonal":
-            return cls.diagonal(n, arrays["cov.diag"], eps)
-        if kind == "tridiagonal":
-            return cls.tridiagonal(n, arrays["cov.d1"], arrays["cov.d2"], eps)
-        return cls.full(n, arrays["cov.L"], eps)
+        tril = np.zeros(n * (n + 1) // 2)
+        i = np.arange(n)
+        tril[i * (i + 3) // 2] = root      # (i, i) in the packed lower triangle
+        return cls.full(n, tril, eps)
 
     # -- realized matrix ------------------------------------------------------
 
@@ -111,31 +116,30 @@ class CovarianceParam:
         n = self.n
         L = np.zeros((n, n))
         if self.kind == "tridiagonal":
-            L[np.arange(n), np.arange(n)] = self.d1
-            L[np.arange(1, n), np.arange(n - 1)] = self.d2
+            L[np.arange(n), np.arange(n)] = self.arrays["cov.d1"]
+            L[np.arange(1, n), np.arange(n - 1)] = self.arrays["cov.d2"]
         else:
-            L[np.tril_indices(n)] = self.tril
+            L[np.tril_indices(n)] = self.arrays["cov.L"]
         return L
 
     def materialize(self):
         """Dense realized P."""
         if self._dense is None:
-            n = self.n
-            if self.kind == "scaled_identity":
-                self._dense = max(self.lam, self.eps) * np.eye(n)
-            elif self.kind == "diagonal":
-                self._dense = np.diag(np.maximum(self.diag, self.eps))
+            d = self.diag_values()
+            if d is not None:
+                self._dense = np.diag(d)
             else:
                 L = self._l_matrix()
-                self._dense = L @ L.T + self.eps * np.eye(n)
+                self._dense = L @ L.T + self.eps * np.eye(self.n)
         return self._dense
 
     def diag_values(self):
         """Realized diagonal for scaled_identity/diagonal kinds, else None."""
         if self.kind == "scaled_identity":
-            return np.full(self.n, max(self.lam, self.eps))
+            lam = float(self.arrays["cov.lam"][0])
+            return np.full(self.n, max(lam, self.eps))
         if self.kind == "diagonal":
-            return np.maximum(self.diag, self.eps)
+            return np.maximum(self.arrays["cov.diag"], self.eps)
         return None
 
     def _chofac(self):
@@ -172,8 +176,23 @@ class CovarianceParam:
             g += sla.cho_solve(self._chofac(), np.eye(self.n))
         return g
 
+    # -- gradient ---------------------------------------------------------------
 
-def _diag_positions(n):
-    """Indices of diagonal entries inside a packed lower triangle."""
-    rows, cols = np.tril_indices(n)
-    return np.nonzero(rows == cols)[0]
+    def outer_grad(self, x, v, scale):
+        """Gradient of scale * x^T P v with respect to each learnable array,
+        keyed by checkpoint name.  Entries held at the floor eps get 0."""
+        if self.kind == "scaled_identity":
+            lam = float(self.arrays["cov.lam"][0])
+            g = scale * float(x @ v) if lam > self.eps else 0.0
+            return {"cov.lam": np.array([g])}
+        if self.kind == "diagonal":
+            g = scale * x * v
+            g[self.arrays["cov.diag"] <= self.eps] = 0.0
+            return {"cov.diag": g}
+        L = self._l_matrix()
+        lbar = scale * (np.outer(x, L.T @ v) + np.outer(v, L.T @ x))
+        n = self.n
+        if self.kind == "tridiagonal":
+            return {"cov.d1": np.diagonal(lbar).copy(),
+                    "cov.d2": lbar[np.arange(1, n), np.arange(n - 1)]}
+        return {"cov.L": lbar[np.tril_indices(n)]}

@@ -163,13 +163,15 @@ def _load_vector(in_dir, name, size):
 
 def load_dataset(in_dir):
     """Read save_dataset output; missing files or keys, a manifest that is not
-    a JSON object or has a mistyped value, wrong lengths and non-finite
-    values raise DataError."""
+    a JSON object or has a mistyped value, no samples, wrong lengths and
+    non-finite values raise DataError."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no dataset manifest in {in_dir}")
     manifest = read_manifest(path, DataError, {
         "m": int, "n": int, "n_samples": int, "side": int, "seeds": list})
+    if manifest["n_samples"] < 1:
+        raise DataError(f"dataset in {in_dir} holds no samples")
     try:
         pairs = [(_load_vector(in_dir, f"y_{i}.f64", manifest["m"]),
                   _load_vector(in_dir, f"c_{i}.f64", manifest["n"]))

@@ -154,29 +154,29 @@ def _tikh_forward(z, u_prev, model, y, p, cfg):
     return u, {"mode": "exact", "z": z, "u": u, "factor": factor}
 
 
-def _z_term(a, b, z, model, ay, p, scale, pbar_sink):
+def _z_term(a, b, z, model, ay, p, scale, grads):
     """z-gradient of <a, A_z^T y - (A_z^T A_z + P^{-1}) b> with b held fixed:
     a*A^T y - a*A^T A(z*b) - b*A^T A(z*a).  The matching covariance term,
-    scale times the P-derivative of the same pairing, goes into pbar_sink."""
-    pbar_sink.append((p.solve(a), p.solve(b), scale))
+    scale times the P-derivative of the same pairing, is added to grads."""
+    for key, g in p.outer_grad(p.solve(a), p.solve(b), scale).items():
+        grads[key] += g
     return a * ay - a * model.adjoint(model.apply(z * b)) \
         - b * model.adjoint(model.apply(z * a))
 
 
-def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
+def _tikh_backward(ubar, rec, model, y, p, grads):
     """Backward through a Tikhonov block.
 
     Returns (zbar_contribution, ubar_prev) where ubar_prev is nonzero only
     for the accelerated mode (gradient w.r.t. the warm start).
-    Covariance gradients are accumulated into pbar_sink via the chain rule
-    on outer-product terms.
+    Covariance gradients are added to grads.
     """
     z = rec["z"]
     ay = model.adjoint(y)
 
     if rec["mode"] == "exact":
         w = tikhonov_adjoint(ubar, z, model, p, rec["factor"])
-        zbar = _z_term(w, rec["u"], z, model, ay, p, 1.0, pbar_sink)
+        zbar = _z_term(w, rec["u"], z, model, ay, p, 1.0, grads)
         return zbar, np.zeros_like(ubar)
 
     # accelerated mode: reverse through the momentum recursion
@@ -199,7 +199,7 @@ def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
         uj = trace[j]
         # through r(u) = u - eta*(A_z^T(A_z u - y) + P^{-1} u) at u_j
         ubars[j] += rb - eta * (z * model.adjoint(model.apply(z * rb)) + p.solve(rb))
-        zbar += eta * _z_term(rb, uj, z, model, ay, p, eta, pbar_sink)
+        zbar += eta * _z_term(rb, uj, z, model, ay, p, eta, grads)
     return zbar, ubars[0]
 
 
@@ -208,13 +208,10 @@ def _tikh_backward(ubar, rec, model, y, p, pbar_sink):
 class Tape:
     """Recorded intermediates of one forward pass."""
 
-    def __init__(self, model, y, cfg, n):
+    def __init__(self, model, y):
         self.model = model
         self.y = y
-        self.cfg = cfg
-        self.n = n
         self.records = []
-        self.output = None
 
     def count(self, kind):
         return sum(1 for r in self.records if r[0] == kind)
@@ -234,7 +231,7 @@ def forward(y, model, params, want_tape=True):
     if side * side != n:
         raise ValueError("network needs image-shaped signals (square n)")
     p = params.cov()
-    tape = Tape(model, y, cfg, n)
+    tape = Tape(model, y)
 
     z = initial_scale(model, y, cfg.b)
     tape.records.append(("init", {"z0": z}))
@@ -264,7 +261,6 @@ def forward(y, model, params, want_tape=True):
                                   cfg.variant, side)
         grec.update(k=cfg.K + 1, j=1, refine=True)
         tape.records.append(("gmap", grec))
-    tape.output = out
     return (out, tape) if want_tape else (out, None)
 
 
@@ -275,7 +271,6 @@ def backward(tape, grad_out, params):
     model, y = tape.model, tape.y
     p = params.cov()
     grads = params.zero_grads()
-    pbar_terms = []
 
     recs = tape.records
     i = len(recs) - 1
@@ -301,7 +296,7 @@ def backward(tape, grad_out, params):
     while i >= 0:
         kind, rec = recs[i]
         if kind == "tikhonov":
-            zc, ubar_prev = _tikh_backward(ubar, rec, model, y, p, pbar_terms)
+            zc, ubar_prev = _tikh_backward(ubar, rec, model, y, p, grads)
             ubar = ubar_prev
             if rec["k"] == 0:
                 # z0 is a constant of the input; its gradient stops here
@@ -319,28 +314,4 @@ def backward(tape, grad_out, params):
             pass
         i -= 1
 
-    # chain the accumulated outer-product covariance terms
-    for x, v, scale in pbar_terms:
-        for key, g in _chain_cov_outer(p, x, v, scale).items():
-            grads[key] += g
     return grads
-
-
-def _chain_cov_outer(p, x, v, scale):
-    """Gradients of scale * x^T dP v onto the covariance parameter arrays."""
-    if p.kind == "scaled_identity":
-        g = scale * float(x @ v) if p.lam > p.eps else 0.0
-        return {"cov.lam": np.array([g])}
-    if p.kind == "diagonal":
-        g = scale * x * v
-        g[p.diag <= p.eps] = 0.0
-        return {"cov.diag": g}
-    L = p._l_matrix()
-    lbar = scale * (np.outer(x, L.T @ v) + np.outer(v, L.T @ x))
-    n = p.n
-    if p.kind == "tridiagonal":
-        return {
-            "cov.d1": np.diagonal(lbar).copy(),
-            "cov.d2": lbar[np.arange(1, n), np.arange(n - 1)].copy(),
-        }
-    return {"cov.L": lbar[np.tril_indices(n)].copy()}

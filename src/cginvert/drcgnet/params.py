@@ -10,7 +10,8 @@ executes in the forward pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,20 +58,15 @@ class NetConfig:
         if self.u_mode == "nagd" and self.nagd_eta is None:
             raise ValueError("u_mode='nagd' needs an explicit nagd_eta "
                              "(kept constant so training gradients stay exact)")
+        CovarianceParam.check(self.cov_kind, self.eps)
 
     def layer_channels(self):
         """(f_0, ..., f_D) with f_0 = 1."""
         return (1,) + tuple(self.channels)
 
     def to_dict(self):
-        return {
-            "K": self.K, "J": self.J, "depth": self.depth,
-            "kernel": self.kernel, "channels": list(self.channels),
-            "variant": self.variant, "cov_kind": self.cov_kind,
-            "gamma_max": self.gamma_max, "b": self.b,
-            "u_mode": self.u_mode, "nagd_steps": self.nagd_steps,
-            "nagd_eta": self.nagd_eta, "refine": self.refine, "eps": self.eps,
-        }
+        """Every field, with channels as a list as JSON reads it back."""
+        return dict(asdict(self), channels=list(self.channels))
 
     @classmethod
     def from_dict(cls, d):
@@ -95,15 +91,6 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
 
 
-def _cov_dim(kind, n):
-    return {
-        "scaled_identity": 1,
-        "diagonal": n,
-        "tridiagonal": 2 * n - 1,
-        "full": n * (n + 1) // 2,
-    }[kind]
-
-
 def param_count(cfg, n):
     """Closed-form number of learnable scalars for the given configuration.
 
@@ -112,7 +99,8 @@ def param_count(cfg, n):
     """
     f = cfg.layer_channels()
     p = sum(f[d - 1] * f[d] * cfg.kernel ** 2 for d in range(1, cfg.depth + 1))
-    return _cov_dim(cfg.cov_kind, n) + (cfg.K * cfg.J + 1) * (p + 1)
+    shapes = CovarianceParam.array_shapes(cfg.cov_kind, n).values()
+    return sum(map(math.prod, shapes)) + (cfg.K * cfg.J + 1) * (p + 1)
 
 
 class NetParams:
@@ -125,8 +113,7 @@ class NetParams:
         self.order = list(values.keys())
 
     def cov(self):
-        return CovarianceParam.from_param_arrays(
-            self.cfg.cov_kind, self.n, self.values, eps=self.cfg.eps)
+        return CovarianceParam(self.cfg.cov_kind, self.n, self.values, self.cfg.eps)
 
     def kernels(self, k, j):
         return [self.values[f"w.{k}.{j}.{d}"] for d in range(1, self.cfg.depth + 1)]
@@ -157,7 +144,7 @@ def init_params(cfg, n, seed=0, cov_init=0.1):
     rng = np.random.default_rng(seed)
     values = {}
     cov = CovarianceParam.init_default(cfg.cov_kind, n, cov_init, eps=cfg.eps)
-    values.update({k: v.copy() for k, v in cov.param_arrays().items()})
+    values.update(cov.arrays)
     values["delta"] = np.ones((cfg.K, cfg.J))
     values["delta.refine"] = np.array(1.0)
     f = cfg.layer_channels()
@@ -189,12 +176,7 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
         "losses": losses or {},
     }
     if train_cfg is not None:
-        manifest["train"] = {
-            "lr": train_cfg.lr, "epochs": train_cfg.epochs,
-            "batch": train_cfg.batch, "beta1": train_cfg.beta1,
-            "beta2": train_cfg.beta2, "eps_adam": train_cfg.eps_adam,
-            "seed": train_cfg.seed, "patience": train_cfg.patience,
-        }
+        manifest["train"] = asdict(train_cfg)
     if extra:
         manifest.update(extra)
     with open(os.path.join(path_dir, "manifest.json"), "w") as fh:

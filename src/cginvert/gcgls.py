@@ -51,7 +51,6 @@ class SolverConfig:
     linesearch: LinesearchConfig = field(default_factory=LinesearchConfig)
     stop_tol: float = 0.0
     max_wall: float | None = None
-    eta_probe: float = 1.0
 
     def __post_init__(self):
         if self.K < 1 or self.J < 1:
@@ -88,10 +87,7 @@ def _margin_constant(method, ls, eta_used):
         return ls.alpha
     if method == "ista":
         return 1.0 / (2.0 * eta_used)
-    lip = ls.lipschitz_estimate
-    if lip > 0.0:
-        return max(1.0 / eta_used - lip / 2.0, 0.0)
-    return 0.0  # no certified constant for fixed PGD without an L estimate
+    return 0.0  # no certified constant for fixed PGD
 
 
 def _u_update(u_prev, z, model, y, p, cfg):
@@ -172,7 +168,7 @@ def solve(model, y, p, r, cfg):
 
     stat_u = float(np.linalg.norm(grad_u(state.u, state.z, model, y, p)))
     stat_z = stationarity_residual(state.z, state.u, model, y, r,
-                                   cfg.eta_probe, cfg.zstep_method)
+                                   eta_probe=1.0, method=cfg.zstep_method)
     return SolveReport(
         c_star=state.z * state.u,
         state=state,

@@ -37,8 +37,7 @@ class LinesearchConfig:
 
     mode "fixed" uses eta (or an automatic 1/L estimate when eta is None);
     mode "backtrack" halves from eta_init until the sufficient-decrease
-    test with constant alpha holds.  lipschitz_estimate > 0 short-circuits
-    the per-call L estimation.
+    test with constant alpha holds.
     """
 
     mode: str = "backtrack"
@@ -47,7 +46,6 @@ class LinesearchConfig:
     shrink: float = 0.5
     eta_init: float = 1.0
     max_halvings: int = 50
-    lipschitz_estimate: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("fixed", "backtrack"):
@@ -83,9 +81,7 @@ def _fixed_eta(u, model, ls, curvature):
     (nonzero only for the PGD step, whose gradient includes R)."""
     if ls.eta is not None:
         return ls.eta
-    lip = ls.lipschitz_estimate
-    if lip <= 0.0:
-        lip = estimate_au_norm_sq(u, model) + curvature()
+    lip = estimate_au_norm_sq(u, model) + curvature()
     return 0.95 / max(lip, 1e-30)
 
 

@@ -208,6 +208,69 @@ class TestMalformedInput:
         assert code == 3
         assert err.count("\n") == 1 and "im1.pgm" in err
 
+    @staticmethod
+    def one_line_error(capsys, *argv):
+        """Run argv; return (exit code, its one-line stderr message)."""
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("command,sets,expect", [
+        ("solve", ["solver.cov_value=nan"], "finite"),
+        ("train", ["net.cov_init=nan"], "finite"),
+        ("train", ["net.eps=0", "net.cov_init=0"], "eps"),
+        ("solve", ["solver.eps=0", "solver.cov_value=0"], "eps"),
+        ("solve", ["solver.eps=-1"], "eps"),
+        ("train", ["net.cov=bogus"], "bogus"),
+        ("solve", ["sensing.side=0"], "side"),
+        ("solve", ["sensing.angles=0"], "n_angles"),
+        ("solve", ["sensing.kind=gaussian", "sensing.m=1000"], "m=1000"),
+        ("train", ["train.epochs=0"], "train.epochs"),
+    ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
+            "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
+            "gaussian-m-above-n", "epochs-0"])
+    def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
+                              expect):
+        ds = self.gen(cfg_path, tmp_path)
+        overrides = [arg for kv in sets for arg in ("--set", kv)]
+        code, err = self.one_line_error(
+            capsys, command, "--config", cfg_path, *overrides,
+            "--dataset", str(ds), "--out", str(tmp_path / "out"))
+        assert code == 2 and err.startswith("config error: ") and expect in err
+
+    def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set", "data.samples=0",
+            "--out", str(tmp_path / "ds"))
+        assert code == 2 and "data.samples" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_without_samples(self, cfg_path, tmp_path, capsys, command):
+        ds = self.gen(cfg_path, tmp_path)
+        extra = []
+        if command == "eval":
+            ck = tmp_path / "ck"
+            assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+                       "--dataset", str(ds), "--out", str(ck)) == 0
+            extra = ["--checkpoint", str(ck)]
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["n_samples"] = 0
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.one_line_error(
+            capsys, command, "--config", cfg_path, "--set", "train.epochs=1",
+            "--dataset", str(ds), *extra, "--out", str(tmp_path / "out"))
+        assert code == 3 and "no samples" in err
+
+    @pytest.mark.parametrize("index", ["3", "99", "-1"])
+    def test_diagnose_index_out_of_range(self, cfg_path, tmp_path, capsys, index):
+        ds = self.gen(cfg_path, tmp_path)
+        code, err = self.one_line_error(
+            capsys, "diagnose", "--config", cfg_path, "--dataset", str(ds),
+            "--index", index)
+        assert code == 2 and f"--index {index}" in err
+
     def eval_corrupt_checkpoint(self, cfg_path, tmp_path, capsys, corrupt):
         """Train one epoch, apply corrupt(ck) and return eval's stderr."""
         ds = self.gen(cfg_path, tmp_path)

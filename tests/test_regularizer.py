@@ -49,7 +49,7 @@ class TestCost:
         for i in range(4):
             row = sum(a[i, k] * z[k] * u[k] for k in range(6))
             acc += 0.5 * (y[i] - row) ** 2
-        pdiag = np.maximum(p.diag, p.eps)
+        pdiag = np.maximum(p.arrays["cov.diag"], p.eps)
         acc += sum(0.5 * u[k] ** 2 / pdiag[k] for k in range(6))
         acc += sum(0.8 * math.log(z[k]) ** 2 for k in range(6))
         assert cost(u, z, model, y, p, r) == pytest.approx(acc, rel=1e-12)

@@ -99,6 +99,52 @@ class TestCovariance:
             p = CovarianceParam.init_default(kind, 5, 0.1, eps=1e-4)
             assert np.allclose(p.materialize(), 0.1 * np.eye(5), atol=1e-15)
 
+    # entries at or below the floor eps = 1e-4 hold P constant, so their
+    # gradient is exactly 0; tridiagonal and full have no floored entries
+    @pytest.mark.parametrize("kind,arrays", [
+        ("scaled_identity", {"cov.lam": [0.7]}),
+        ("scaled_identity", {"cov.lam": [1e-4]}),
+        ("scaled_identity", {"cov.lam": [-0.3]}),
+        ("diagonal", {"cov.diag": [0.7, 1e-4, 5e-5, -1.0, 1.3]}),
+        ("tridiagonal", {"cov.d1": [0.9, -0.4, 1.2, 0.3, -1.1],
+                         "cov.d2": [0.5, -0.8, 0.2, 1.4]}),
+        ("full", {"cov.L": np.linspace(-1.3, 1.1, 15)}),
+    ], ids=["lam", "lam-at-eps", "lam-below-eps", "diagonal", "tridiagonal", "full"])
+    def test_outer_grad_matches_central_differences(self, kind, arrays):
+        n, eps, scale, h = 5, 1e-4, -0.7, 1e-6
+        rng = np.random.default_rng(12)
+        x, v = rng.standard_normal(n), rng.standard_normal(n)
+        p = CovarianceParam(kind, n, arrays, eps)
+        grads = p.outer_grad(x, v, scale)
+        assert list(grads) == list(p.arrays)
+
+        def pairing(name, i, step):
+            moved = dict(p.arrays)
+            moved[name] = p.arrays[name].copy()
+            moved[name][i] += step
+            return scale * float(x @ CovarianceParam(kind, n, moved, eps).apply(v))
+
+        for name, base in p.arrays.items():
+            fd = np.array([(pairing(name, i, h) - pairing(name, i, -h)) / (2 * h)
+                           for i in range(base.size)])
+            clamped = kind in ("scaled_identity", "diagonal")
+            floored = (base <= eps) & clamped
+            assert np.all(grads[name][floored] == 0.0)
+            assert np.all(fd[(base < eps - h) & clamped] == 0.0)
+            assert grads[name][~floored] == pytest.approx(fd[~floored],
+                                                          rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_floor_that_is_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            CovarianceParam.scaled_identity(4, 1.0, eps=eps)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_init_default_rejects_non_finite_value(self, value):
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="finite"):
+                CovarianceParam.init_default(kind, 4, value)
+
 
 class TestExactSolve:
     def test_zero_scales_give_zero(self):
