@@ -137,7 +137,11 @@ def cmd_solve(args):
 def _split_validation(ds, fraction):
     if fraction <= 0.0 or len(ds) < 2:
         return ds.pairs, None
-    n_val = max(1, int(round(fraction * len(ds))))
+    # a fraction of 1 or more, inf or NaN leaves nothing to train on
+    n_val = max(1, int(round(fraction * len(ds)))) if fraction < 1.0 else len(ds)
+    if n_val >= len(ds):
+        raise ConfigError(f"train.val_fraction={fraction!r} leaves no training "
+                          f"samples out of {len(ds)}")
     return ds.pairs[:-n_val], ds.pairs[-n_val:]
 
 

@@ -181,7 +181,10 @@ def build_model(cfg):
 def build_regularizer(cfg):
     kind = cfg.get("reg.kind")
     if kind == "logsq":
-        return ScaleRegularizer.log_squared(cfg.get("reg.mu"))
+        try:
+            return ScaleRegularizer.log_squared(cfg.get("reg.mu"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if kind == "zero":
         return ScaleRegularizer.zero()
     raise ConfigError(f"unknown reg.kind: {kind}")

@@ -20,7 +20,7 @@ from ..errors import ConfigError, read_manifest
 from .conv import glorot_uniform
 
 __all__ = ["NetConfig", "TrainConfig", "NetParams", "param_count",
-           "init_params", "save_checkpoint", "load_checkpoint"]
+           "param_shapes", "init_params", "save_checkpoint", "load_checkpoint"]
 
 
 @dataclass
@@ -58,6 +58,9 @@ class NetConfig:
         if self.u_mode == "nagd" and self.nagd_eta is None:
             raise ValueError("u_mode='nagd' needs an explicit nagd_eta "
                              "(kept constant so training gradients stay exact)")
+        if not (self.gamma_max > 0 and self.b > 0):
+            raise ValueError(f"gamma_max and b must be > 0, got "
+                             f"{self.gamma_max!r} and {self.b!r}")
         CovarianceParam.check(self.cov_kind, self.eps)
 
     def layer_channels(self):
@@ -87,20 +90,35 @@ class TrainConfig:
     patience: int | None = None    # early stopping on validation MAE
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr!r}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"Adam beta1 and beta2 must lie in [0, 1), got "
+                             f"{self.beta1!r} and {self.beta2!r}")
+        if not 0 < self.eps_adam < math.inf:
+            raise ValueError(f"eps_adam must be finite and > 0, got {self.eps_adam!r}")
+
+
+def param_shapes(cfg, n):
+    """{name: shape} of every learnable array, in the canonical order."""
+    shapes = dict(CovarianceParam.array_shapes(cfg.cov_kind, n))
+    shapes["delta"] = (cfg.K, cfg.J)
+    shapes["delta.refine"] = ()
+    f = cfg.layer_channels()
+    stacks = [f"{k}.{j}" for k in range(1, cfg.K + 1) for j in range(1, cfg.J + 1)]
+    for stack in stacks + ["refine"]:
+        for d in range(1, cfg.depth + 1):
+            shapes[f"w.{stack}.{d}"] = (cfg.kernel, cfg.kernel, f[d - 1], f[d])
+    return shapes
 
 
 def param_count(cfg, n):
-    """Closed-form number of learnable scalars for the given configuration.
+    """Number of learnable scalars for the given configuration.
 
     p = sum_d f_{d-1} f_d k^2 per convolution stack; every one of the K*J
     scale updates plus the refinement step owns a stack and a step scalar.
     """
-    f = cfg.layer_channels()
-    p = sum(f[d - 1] * f[d] * cfg.kernel ** 2 for d in range(1, cfg.depth + 1))
-    shapes = CovarianceParam.array_shapes(cfg.cov_kind, n).values()
-    return sum(map(math.prod, shapes)) + (cfg.K * cfg.J + 1) * (p + 1)
+    return sum(map(math.prod, param_shapes(cfg, n).values()))
 
 
 class NetParams:
@@ -142,18 +160,14 @@ def init_params(cfg, n, seed=0, cov_init=0.1):
     """Fresh parameters: Glorot-uniform kernels, unit step scalars, and a
     covariance realizing cov_init * I exactly."""
     rng = np.random.default_rng(seed)
-    values = {}
     cov = CovarianceParam.init_default(cfg.cov_kind, n, cov_init, eps=cfg.eps)
-    values.update(cov.arrays)
-    values["delta"] = np.ones((cfg.K, cfg.J))
-    values["delta.refine"] = np.array(1.0)
-    f = cfg.layer_channels()
-    for k in range(1, cfg.K + 1):
-        for j in range(1, cfg.J + 1):
-            for d in range(1, cfg.depth + 1):
-                values[f"w.{k}.{j}.{d}"] = glorot_uniform(rng, cfg.kernel, f[d - 1], f[d])
-    for d in range(1, cfg.depth + 1):
-        values[f"w.refine.{d}"] = glorot_uniform(rng, cfg.kernel, f[d - 1], f[d])
+    values = dict(cov.arrays)
+    for name, shape in param_shapes(cfg, n).items():
+        if name.startswith("delta"):
+            values[name] = np.ones(shape)
+        elif name.startswith("w."):
+            k, _, c_in, c_out = shape
+            values[name] = glorot_uniform(rng, k, c_in, c_out)
     return NetParams(cfg, n, values)
 
 
@@ -189,7 +203,8 @@ def load_checkpoint(path_dir):
     """Read back a checkpoint; returns (NetParams, manifest dict).
 
     A missing file, a manifest that is not a JSON object, lacks a key or
-    has a mistyped value, and a blob of the wrong length raise ConfigError.
+    has a mistyped value, an array set or shape other than the one its net
+    and n give, and a blob of the wrong length raise ConfigError.
     """
     import os
 
@@ -209,6 +224,11 @@ def load_checkpoint(path_dir):
         raise ConfigError(f"checkpoint manifest in {path_dir} lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint manifest in {path_dir} is malformed: {exc}") from None
+    want, got = param_shapes(cfg, n), dict(zip(manifest["order"], shapes))
+    for name in sorted(want.keys() | got.keys()):
+        if got.get(name) != want.get(name):
+            raise ConfigError(f"checkpoint array {name} has shape {got.get(name)}, "
+                              f"its network config gives {want.get(name)}")
     blob = np.fromfile(blob_path, dtype="<f8")
     expected = sum(int(np.prod(shape)) for shape in shapes)
     if blob.size != expected:

@@ -55,8 +55,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.K < 1 or self.J < 1:
             raise ValueError("K and J must be >= 1")
-        if self.b <= 0:
-            raise ValueError("init clamp bound b must be positive")
+        if not self.b > 0:
+            raise ValueError(f"init clamp bound b must be positive, got {self.b!r}")
         if self.tikhonov_mode not in ("exact", "nagd"):
             raise ValueError(f"unknown tikhonov mode {self.tikhonov_mode!r}")
         if self.zstep_method not in ("pgd", "ista"):

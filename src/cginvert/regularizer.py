@@ -10,6 +10,7 @@ R(z) = mu * sum_i log(z_i)^2 on (0, inf)^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ class ScaleRegularizer:
                  value_fn=None, grad_fn=None, prox_fn=None):
         if kind not in ("logsq", "zero", "external"):
             raise ValueError(f"unknown regularizer kind {kind!r}")
-        if kind == "logsq" and mu <= 0:
-            raise ValueError("logsq needs mu > 0")
+        if kind == "logsq" and not 0 < mu < math.inf:
+            raise ValueError(f"logsq needs a finite mu > 0, got {mu!r}")
         self.kind = kind
         self.mu = float(mu)
         self.floor = float(floor)

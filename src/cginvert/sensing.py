@@ -55,9 +55,9 @@ class SensingModel:
 
     psi is dense or CSR sparse (m x n); phi is a dense n x n dictionary or
     None for the identity marker.  psi_t is Psi^T, kept as CSR when psi is
-    sparse so adjoints and sparse products never transpose again.  a_norm
-    caches a power-iteration estimate of ||A||_2.  side is the image side
-    length when n is a perfect square.
+    sparse so adjoints never transpose again.  a_norm caches a
+    power-iteration estimate of ||A||_2.  side is the image side length when
+    n is a perfect square.
     """
 
     def __init__(self, psi, phi=None, side=None, meta=None):
@@ -75,6 +75,7 @@ class SensingModel:
         self.side = side
         self.meta = dict(meta or {})
         self._dense_a = None
+        self._gram_map = None
         self.a_norm = spectral_norm(self.apply, self.adjoint, n)
 
     # -- operator surface ---------------------------------------------------
@@ -104,6 +105,38 @@ class SensingModel:
             psi = self.psi.toarray() if sp.issparse(self.psi) else np.asarray(self.psi)
             self._dense_a = psi @ self.phi if self.phi is not None else psi.copy()
         return self._dense_a
+
+    def gram_map(self):
+        """Map from pixel weights w to the lower triangle of Psi Diag(w) Psi^T
+        (cached; sparse Psi only).
+
+        Returns (flat, gram): the row-major flat positions i*m + j, i >= j, of
+        the structural nonzeros of that triangle, and a CSR matrix with
+        gram[e, k] = Psi[i, k] Psi[j, k] for the pair at flat[e], so that the
+        triangle's values are gram @ w.  It depends on Psi alone: the symbolic
+        half of forming the Woodbury system, one O(sum_k nnz(Psi[:, k])^2)
+        pass instead of a sparse-sparse product per call.
+        """
+        if self._gram_map is None:
+            csc = self.psi.tocsc(copy=True)
+            csc.sum_duplicates()  # sorted rows, one entry per (row, column)
+            counts = np.diff(csc.indptr)
+            start = np.repeat(csc.indptr[:-1], counts)
+            # the entry at position p of its column pairs with positions
+            # 0..p of that column, whose rows are no larger
+            reps = np.arange(csc.nnz) - start + 1
+            first = np.repeat(np.arange(csc.nnz), reps)
+            second = (np.arange(first.size) + start[first]
+                      - np.repeat(np.cumsum(reps) - reps, reps))
+            rows = csc.indices.astype(np.int64)
+            flat, slot = np.unique(rows[first] * self.m + rows[second],
+                                   return_inverse=True)
+            pixel = np.repeat(np.arange(self.n), counts)[first]
+            gram = sp.csr_matrix(
+                (csc.data[first] * csc.data[second], (slot, pixel)),
+                shape=(flat.size, self.n))
+            self._gram_map = (flat, gram)
+        return self._gram_map
 
     def fingerprint_config(self):
         cfg = {"m": self.m, "n": self.n, "side": self.side}

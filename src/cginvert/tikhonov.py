@@ -4,9 +4,11 @@ Three routes: the direct n x n symmetric solve, the Woodbury rewrite that
 solves an m x m system instead, and a Nesterov-accelerated gradient descent
 approximation for problems where a factorization is unwanted.  With a sparse
 Psi, no dictionary and a diagonal P, the Woodbury system
-Psi Diag(z^2 d) Psi^T + I is formed by one sparse-sparse product and the
-dense A is never built.  tikhonov_factored alone picks the exact route, and
-tikhonov_adjoint solves against its factor for the network backward.
+Psi Diag(z^2 d) Psi^T + I is formed from a per-operator map of Psi's Gram
+pattern (SensingModel.gram_map): one sparse mat-vec per u-update fills its
+lower triangle, and the dense A is never built.  tikhonov_factored alone
+picks the exact route, and tikhonov_adjoint solves against its factor for
+the network backward.
 """
 
 from __future__ import annotations
@@ -89,9 +91,14 @@ def _tikhonov_woodbury_with_factor(z, model, y, p):
     d = p.diag_values()
     sparse = d is not None and model.phi is None and sp.issparse(model.psi)
     if sparse:
-        # A_z P A_z^T = Psi Diag(z^2 d) Psi^T and P A_z^T = Diag(d z) Psi^T
-        w = z * z * d
-        s = (model.psi.multiply(w[None, :]).tocsr() @ model.psi_t).toarray()
+        # A_z P A_z^T = Psi Diag(z^2 d) Psi^T and P A_z^T = Diag(d z) Psi^T.
+        # Only the lower triangle is filled: cho_factor(lower=True) and the
+        # cho_solve calls against its factor (tikhonov_adjoint's too) read
+        # no other entry, so half the products are skipped.
+        flat, gram = model.gram_map()
+        s = np.zeros(model.m * model.m)
+        s[flat] = gram @ (z * z * d)
+        s = s.reshape(model.m, model.m)
     else:
         az = _a_z(z, model)
         azp = az * d[None, :] if d is not None else az @ p.materialize()

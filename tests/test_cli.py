@@ -228,9 +228,19 @@ class TestMalformedInput:
         ("solve", ["sensing.angles=0"], "n_angles"),
         ("solve", ["sensing.kind=gaussian", "sensing.m=1000"], "m=1000"),
         ("train", ["train.epochs=0"], "train.epochs"),
+        ("train", ["train.lr=nan"], "learning rate"),
+        ("train", ["train.beta1=nan"], "beta1"),
+        ("train", ["train.eps_adam=nan"], "eps_adam"),
+        ("train", ["net.gamma_max=nan"], "gamma_max"),
+        ("train", ["net.b=nan"], "b must be > 0"),
+        ("solve", ["solver.b=nan"], "clamp bound b"),
+        ("solve", ["reg.mu=-1"], "mu > 0"),
+        ("train", ["train.val_fraction=2"], "no training samples"),
     ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
-            "gaussian-m-above-n", "epochs-0"])
+            "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
+            "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
+            "mu-negative", "val_fraction-2"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
         ds = self.gen(cfg_path, tmp_path)
@@ -271,15 +281,18 @@ class TestMalformedInput:
             "--index", index)
         assert code == 2 and f"--index {index}" in err
 
-    def eval_corrupt_checkpoint(self, cfg_path, tmp_path, capsys, corrupt):
+    def eval_corrupt_checkpoint(self, cfg_path, tmp_path, capsys, corrupt,
+                                *sets):
         """Train one epoch, apply corrupt(ck) and return eval's stderr."""
         ds = self.gen(cfg_path, tmp_path)
         ck = tmp_path / "ck"
-        assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+        overrides = [arg for kv in ("train.epochs=1",) + sets
+                     for arg in ("--set", kv)]
+        assert run("train", "--config", cfg_path, *overrides,
                    "--dataset", str(ds), "--out", str(ck)) == 0
         corrupt(ck)
         capsys.readouterr()
-        code = run("eval", "--config", cfg_path, "--set", "train.epochs=1",
+        code = run("eval", "--config", cfg_path, *overrides,
                    "--dataset", str(ds), "--checkpoint", str(ck),
                    "--out", str(tmp_path / "ev"))
         err = capsys.readouterr().err
@@ -335,6 +348,20 @@ class TestMalformedInput:
 
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
         assert expect in err
+
+    @pytest.mark.parametrize("name,shape,sets", [
+        ("w.1.1.1", [4, 1, 3, 3], ()),
+        ("cov.diag", [2, 32], ("net.cov=diagonal",))], ids=["kernel", "cov"])
+    def test_checkpoint_array_shape_mismatch(self, cfg_path, tmp_path, capsys,
+                                             name, shape, sets):
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            manifest["shapes"][name] = shape
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt,
+                                           *sets)
+        assert f"checkpoint array {name} has shape {tuple(shape)}" in err
 
     @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
     def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):

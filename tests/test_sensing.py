@@ -288,3 +288,41 @@ class TestComposition:
     def test_row_count_at_90_angles(self):
         model = build_radon(4, 90)
         assert model.m == 90 * math.ceil(math.sqrt(2.0) * 4)
+
+
+def mapped_gram(model, w):
+    """Psi Diag(w) Psi^T as the Woodbury u-update forms it: lower triangle only."""
+    flat, gram = model.gram_map()
+    s = np.zeros(model.m * model.m)
+    s[flat] = gram @ w
+    return s.reshape(model.m, model.m)
+
+
+class TestGramMap:
+    @staticmethod
+    def assert_maps_lower_gram(model, seed):
+        w = np.random.default_rng(seed).uniform(0.1, 3.0, model.n)
+        psi = model.psi.toarray()
+        expect = np.tril((psi * w[None, :]) @ psi.T)
+        flat, _ = model.gram_map()
+        assert np.all(flat // model.m >= flat % model.m)
+        got = mapped_gram(model, w)
+        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("side,angles", [(32, 15), (16, 5), (6, 3)])
+    def test_radon_lower_triangle_matches_dense_product(self, side, angles):
+        self.assert_maps_lower_gram(build_radon(side, angles), side)
+
+    def test_irregular_csr_matches_dense_product(self):
+        # column 1 is empty, column 4 has one nonzero; rows list their
+        # columns out of order and row 2 repeats column 0
+        indptr = [0, 3, 5, 8, 10]
+        indices = [5, 0, 2, 3, 0, 0, 4, 0, 5, 2]
+        data = [1.5, -2.0, 0.5, 3.0, 1.0, 0.25, -1.25, 2.0, 0.75, -0.5]
+        psi = sp.csr_matrix((data, indices, indptr), shape=(4, 6))
+        assert not psi.has_sorted_indices
+        self.assert_maps_lower_gram(SensingModel(psi), 1)
+
+    def test_second_call_returns_cached_map(self):
+        model = build_radon(6, 3)
+        assert model.gram_map() is model.gram_map()

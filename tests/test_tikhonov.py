@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cginvert import gcgls
 from cginvert.covariance import KINDS, CovarianceParam
@@ -226,6 +227,23 @@ class TestWoodbury:
         ue = tikhonov_exact(z, model, y, p)
         uw = tikhonov_woodbury(z, model, y, p)
         assert np.linalg.norm(ue - uw) <= 1e-10 * np.linalg.norm(ue)
+
+    @pytest.mark.parametrize("psi,kind,builds", [
+        (sp.random(14, 6, density=0.5, random_state=0, format="csr"),
+         "scaled_identity", False),
+        (np.random.default_rng(1).standard_normal((6, 14)), "diagonal", False),
+        (sp.random(6, 14, density=0.5, random_state=2, format="csr"),
+         "tridiagonal", False),
+        (sp.random(6, 14, density=0.5, random_state=3, format="csr"),
+         "diagonal", True),
+    ], ids=["sparse-direct", "dense-psi", "sparse-tridiagonal", "sparse-diagonal"])
+    def test_only_sparse_diagonal_woodbury_builds_gram_map(self, psi, kind, builds):
+        model = SensingModel(psi)
+        rng = np.random.default_rng(4)
+        p = random_cov(kind, model.n, rng)
+        tikhonov_factored(rng.uniform(0.2, 2.0, model.n), model,
+                          rng.standard_normal(model.m), p)
+        assert (model._gram_map is not None) == builds
 
     def test_sparse_solve_never_densifies_the_operator(self):
         model = build_radon(16, 5)
