@@ -70,6 +70,8 @@ def cmd_gen_data(args):
     cfg = _load_cfg(args)
     if cfg.get("data.samples") < 1:
         raise ConfigError("data.samples must be >= 1")
+    if not cfg.get("data.snr_db") > -np.inf:
+        raise ConfigError("data.snr_db must be a number or inf")
     model = cfgmod.build_model(cfg)
     ds = gen_dataset(cfg.get("data.source"), model, cfg.get("data.snr_db"),
                      cfg.get("data.samples"), cfg.get("data.seed"))

@@ -7,7 +7,10 @@ thing kept for backward, is x zero-padded by pad = k // 2 on every side
 plus one zero row at the bottom, rows flattened to (c_in, (h+2pad+1)*wp)
 with wp = w + 2pad.  Tap (di, dj) reads the column slice of length h*wp
 starting at di*wp + dj; the extra row keeps the last slice in bounds, and
-the last 2pad columns of each output row are dropped.
+the last 2pad columns of each output row are dropped.  A single-channel end
+(the forward of a 1-channel input, the input gradient of a 1-channel output)
+stacks the k*k shifted slices of its one row and runs one GEMM instead of
+k*k rank-1 products.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ def interior(xp, k, h, w):
         :, pad:pad + h, pad:pad + w]
 
 
+def _taps(k, wp):
+    """Flat offsets di*wp + dj of the k*k kernel taps, di-major like kern."""
+    return (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+
+
 def conv2d_forward(x, kern):
     """Correlate x (c_in, h, w) with kern (k, k, c_in, c_out).
 
@@ -37,11 +45,17 @@ def conv2d_forward(x, kern):
     span = h * wp
     xp = np.zeros((cin, (h + 2 * pad + 1) * wp))
     interior(xp, k, h, w)[...] = x
-    out = np.zeros((kern.shape[3], span))
-    for di in range(k):
-        for dj in range(k):
-            o = di * wp + dj
-            out += kern[di, dj].T @ xp[:, o:o + span]
+    taps = _taps(k, wp)
+    flat_kern = kern.reshape(k * k, cin, -1)
+    if cin == 1:
+        cols = np.empty((k * k, span))
+        for t, o in enumerate(taps):
+            cols[t] = xp[0, o:o + span]
+        out = flat_kern[:, 0].T @ cols
+    else:
+        out = np.zeros((kern.shape[3], span))
+        for t, o in enumerate(taps):
+            out += flat_kern[t].T @ xp[:, o:o + span]
     return out.reshape(-1, h, wp)[:, :, :w], xp
 
 
@@ -58,14 +72,21 @@ def conv2d_backward(dout, xp, kern, x_shape):
     d = np.zeros((dout.shape[0], h, wp))
     d[:, :, :w] = dout
     d = d.reshape(-1, span)
-    dkern = np.empty(kern.shape)
-    dxp = np.zeros_like(xp)
-    for di in range(k):
-        for dj in range(k):
-            o = di * wp + dj
-            dkern[di, dj] = xp[:, o:o + span] @ d.T
-            dxp[:, o:o + span] += kern[di, dj] @ d
-    return interior(dxp, k, h, w), dkern
+    taps = _taps(k, wp)
+    flat_kern = kern.reshape(k * k, kern.shape[2], -1)
+    dkern = np.empty(flat_kern.shape)
+    for t, o in enumerate(taps):
+        dkern[t] = xp[:, o:o + span] @ d.T
+    if d.shape[0] == 1:
+        shifted = np.zeros((k * k, xp.shape[1]))
+        for t, o in enumerate(taps):
+            shifted[t, o:o + span] = d[0]
+        dxp = flat_kern[:, :, 0].T @ shifted
+    else:
+        dxp = np.zeros_like(xp)
+        for t, o in enumerate(taps):
+            dxp[:, o:o + span] += flat_kern[t] @ d
+    return interior(dxp, k, h, w), dkern.reshape(kern.shape)
 
 
 def glorot_uniform(rng, k, cin, cout):

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..covariance import CovarianceParam
 from ..errors import ConfigError, read_manifest
+from ..tikhonov import NagdConfig
 from .conv import glorot_uniform
 
 __all__ = ["NetConfig", "TrainConfig", "NetParams", "param_count",
@@ -58,6 +59,7 @@ class NetConfig:
         if self.u_mode == "nagd" and self.nagd_eta is None:
             raise ValueError("u_mode='nagd' needs an explicit nagd_eta "
                              "(kept constant so training gradients stay exact)")
+        NagdConfig(steps=self.nagd_steps, eta=self.nagd_eta)
         if not (self.gamma_max > 0 and self.b > 0):
             raise ValueError(f"gamma_max and b must be > 0, got "
                              f"{self.gamma_max!r} and {self.b!r}")

@@ -50,6 +50,8 @@ class LinesearchConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "backtrack"):
             raise ValueError(f"unknown linesearch mode {self.mode!r}")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ValueError(f"linesearch eta must be finite and > 0, got {self.eta!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 1/2]")
         if not 0.0 < self.shrink < 1.0:

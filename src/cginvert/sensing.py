@@ -110,8 +110,8 @@ class SensingModel:
         """Map from pixel weights w to the lower triangle of Psi Diag(w) Psi^T
         (cached; sparse Psi only).
 
-        Returns (flat, gram): the row-major flat positions i*m + j, i >= j, of
-        the structural nonzeros of that triangle, and a CSR matrix with
+        Returns (flat, gram): the column-major flat positions j*m + i, i >= j,
+        of the structural nonzeros of that triangle, and a CSR matrix with
         gram[e, k] = Psi[i, k] Psi[j, k] for the pair at flat[e], so that the
         triangle's values are gram @ w.  It depends on Psi alone: the symbolic
         half of forming the Woodbury system, one O(sum_k nnz(Psi[:, k])^2)
@@ -129,7 +129,7 @@ class SensingModel:
             second = (np.arange(first.size) + start[first]
                       - np.repeat(np.cumsum(reps) - reps, reps))
             rows = csc.indices.astype(np.int64)
-            flat, slot = np.unique(rows[first] * self.m + rows[second],
+            flat, slot = np.unique(rows[second] * self.m + rows[first],
                                    return_inverse=True)
             pixel = np.repeat(np.arange(self.n), counts)[first]
             gram = sp.csr_matrix(
@@ -272,8 +272,10 @@ def measure(model, c, snr_db, seed=0):
     10*log10(||Ac||^2 / ||noise||^2) hits snr_db exactly.  snr_db = inf
     yields noiseless measurements.
     """
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
     clean = model.apply(c)
-    if np.isinf(snr_db):
+    if snr_db == np.inf:
         return Measurement(y=clean, snr_db=snr_db, noise_seed=seed)
     sig = np.linalg.norm(clean)
     if sig == 0.0:

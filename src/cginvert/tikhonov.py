@@ -5,8 +5,11 @@ solves an m x m system instead, and a Nesterov-accelerated gradient descent
 approximation for problems where a factorization is unwanted.  With a sparse
 Psi, no dictionary and a diagonal P, the Woodbury system
 Psi Diag(z^2 d) Psi^T + I is formed from a per-operator map of Psi's Gram
-pattern (SensingModel.gram_map): one sparse mat-vec per u-update fills its
-lower triangle, and the dense A is never built.  tikhonov_factored alone
+pattern (SensingModel.gram_map): one sparse mat-vec per u-update writes its
+lower triangle in column-major order, where LAPACK factors it in place, and
+the dense A is never built.  The O(m^3) Cholesky is then the only m^2-sized
+work left per update: no second m x m copy is made, and the finite checks
+read the diagonal and the right-hand sides only.  tikhonov_factored alone
 picks the exact route, and tikhonov_adjoint solves against its factor for
 the network backward.
 """
@@ -49,6 +52,8 @@ class NagdConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("NagdConfig.steps must be >= 1")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ValueError(f"NagdConfig.eta must be finite and > 0, got {self.eta!r}")
 
 
 def _a_z(z, model):
@@ -72,13 +77,34 @@ def tikhonov_exact(z, model, y, p):
     return u
 
 
+def _factor(s, psd_plus_identity=False):
+    """Cholesky factor of the SPD matrix s, computed in place.
+
+    s must be Fortran-ordered: LAPACK reads its lower triangle where it lies
+    and writes the factor over it, with no copy.  A non-finite s raises
+    LinAlgError, the error a non-positive pivot raises.  For s = I + Psi W
+    Psi^T with W >= 0 the diagonal suffices: |s_ij| <= sqrt(s_ii s_jj), and
+    a non-finite w_k reaches every s_ii with Psi[i, k] != 0.
+    """
+    if not np.isfinite(np.diagonal(s) if psd_plus_identity else s).all():
+        raise np.linalg.LinAlgError("u-update system has non-finite entries")
+    return sla.cho_factor(s, lower=True, overwrite_a=True, check_finite=False)
+
+
+def _backsolve(cho, b):
+    """Solve against a factor from _factor; a non-finite b raises LinAlgError."""
+    if not np.isfinite(b).all():
+        raise np.linalg.LinAlgError("u-update right-hand side has non-finite entries")
+    return sla.cho_solve(cho, b, check_finite=False)
+
+
 def _tikhonov_direct_with_factor(z, model, y, p):
     az = _a_z(z, model)
     g = az.T @ az
     p.add_inverse_to(g)
     rhs = az.T @ y
-    cho = sla.cho_factor(g, lower=True)
-    return sla.cho_solve(cho, rhs), cho
+    cho = _factor(np.asfortranarray(g))
+    return _backsolve(cho, rhs), cho
 
 
 def tikhonov_woodbury(z, model, y, p):
@@ -90,22 +116,23 @@ def tikhonov_woodbury(z, model, y, p):
 def _tikhonov_woodbury_with_factor(z, model, y, p):
     d = p.diag_values()
     sparse = d is not None and model.phi is None and sp.issparse(model.psi)
+    m = model.m
     if sparse:
         # A_z P A_z^T = Psi Diag(z^2 d) Psi^T and P A_z^T = Diag(d z) Psi^T.
-        # Only the lower triangle is filled: cho_factor(lower=True) and the
-        # cho_solve calls against its factor (tikhonov_adjoint's too) read
-        # no other entry, so half the products are skipped.
+        # Only the lower triangle is filled, at its column-major positions,
+        # so the transposed view is the Fortran array LAPACK factors in
+        # place; the factor and every solve against it read no other entry.
         flat, gram = model.gram_map()
-        s = np.zeros(model.m * model.m)
+        s = np.zeros(m * m)
         s[flat] = gram @ (z * z * d)
-        s = s.reshape(model.m, model.m)
+        s = s.reshape(m, m).T
     else:
         az = _a_z(z, model)
         azp = az * d[None, :] if d is not None else az @ p.materialize()
-        s = azp @ az.T
-    s[np.diag_indices(model.m)] += 1.0
-    cho = sla.cho_factor(s, lower=True)
-    v = sla.cho_solve(cho, y)
+        s = np.asfortranarray(azp @ az.T)
+    s[np.diag_indices(m)] += 1.0
+    cho = _factor(s, psd_plus_identity=sparse)
+    v = _backsolve(cho, y)
     u = d * z * model.adjoint(v) if sparse else azp.T @ v
     return u, cho
 
@@ -130,10 +157,10 @@ def tikhonov_adjoint(b, z, model, p, factor):
     the Woodbury route reads P b - P A_z^T (I + A_z P A_z^T)^{-1} A_z P b."""
     route, cho = factor
     if route == "direct":
-        return sla.cho_solve(cho, b)
+        return _backsolve(cho, b)
     pb = p.apply(b)
     return pb - p.apply(z * model.adjoint(
-        sla.cho_solve(cho, model.apply(z * pb))))
+        _backsolve(cho, model.apply(z * pb))))
 
 
 def r_u_step(u, z, model, y, p, eta):

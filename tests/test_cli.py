@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cginvert.cli import main
+from cginvert.data_metrics import load_dataset
+from cginvert.sensing import build_radon
 
 BASE = """
 sensing.kind = radon
@@ -236,11 +238,16 @@ class TestMalformedInput:
         ("solve", ["solver.b=nan"], "clamp bound b"),
         ("solve", ["reg.mu=-1"], "mu > 0"),
         ("train", ["train.val_fraction=2"], "no training samples"),
+        ("solve", ["zstep.eta=nan", "zstep.linesearch=fixed"],
+         "linesearch eta"),
+        ("solve", ["tikhonov.eta=nan"], "NagdConfig.eta"),
+        ("train", ["net.u_mode=nagd", "net.nagd_eta=nan"], "NagdConfig.eta"),
     ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
-            "mu-negative", "val_fraction-2"])
+            "mu-negative", "val_fraction-2", "zstep-eta-nan",
+            "tikhonov-eta-nan", "nagd-eta-nan"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
         ds = self.gen(cfg_path, tmp_path)
@@ -249,6 +256,21 @@ class TestMalformedInput:
             capsys, command, "--config", cfg_path, *overrides,
             "--dataset", str(ds), "--out", str(tmp_path / "out"))
         assert code == 2 and err.startswith("config error: ") and expect in err
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_gen_data_snr_not_a_number(self, cfg_path, tmp_path, capsys, snr):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            f"data.snr_db={snr}", "--out", str(tmp_path / "ds"))
+        assert code == 2 and "data.snr_db" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_gen_data_infinite_snr_is_noiseless(self, cfg_path, tmp_path):
+        ds = tmp_path / "ds"
+        assert run("gen-data", "--config", cfg_path, "--set",
+                   "data.snr_db=inf", "--out", str(ds)) == 0
+        y, c = load_dataset(str(ds)).pairs[0]
+        assert np.array_equal(y, build_radon(8, 6).apply(c))
 
     def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):
         code, err = self.one_line_error(
@@ -407,6 +429,24 @@ class TestTrainEval:
                    "net.channels=8,1", "--set", "train.epochs=50",
                    "--dataset", str(ds), "--out", str(tmp_path / "ck"))
         assert code == 4
+
+    def test_nan_training_on_woodbury_route_exits_4(self, cfg_path, tmp_path,
+                                                    capsys):
+        # 4 angles give m=48 < n=64: the diverged scales reach the Woodbury
+        # system, whose finite check raises before the factorization
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--set", "sensing.angles=4",
+            "--out", str(ds))
+        capsys.readouterr()
+        code = run("train", "--config", cfg_path, "--set", "sensing.angles=4",
+                   "--set", "train.lr=1e200", "--set", "net.K=2", "--set",
+                   "net.J=2", "--set", "net.channels=8,1", "--set",
+                   "train.epochs=20", "--dataset", str(ds),
+                   "--out", str(tmp_path / "ck"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: solver breakdown")
 
 
 class TestParamCount:

@@ -82,6 +82,32 @@ class TestConv:
                                     xpad[ci, i + di, j + dj] * d[co, i, j]
         assert np.allclose(dkern, expect, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("case", [(1, 32, 3, 32, 32), (32, 1, 3, 32, 32),
+                                      (1, 8, 3, 8, 8), (8, 1, 3, 8, 8),
+                                      (1, 1, 5, 6, 7)])
+    def test_single_channel_ends_match_tap_loop(self, case):
+        # a 1-channel input (forward) or output (input gradient) takes one
+        # GEMM over the stacked tap slices instead of k*k rank-1 products
+        cin, cout, k, h, w = case
+        x, kern, d = conv_case(case, 3)
+        out, xp = conv2d_forward(x, kern)
+        dx, dkern = conv2d_backward(d, xp, kern, x.shape)
+        pad = k // 2
+        xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        out_ref = np.zeros(out.shape)
+        dxpad = np.zeros(xpad.shape)
+        dkern_ref = np.empty(kern.shape)
+        for di in range(k):
+            for dj in range(k):
+                window = xpad[:, di:di + h, dj:dj + w]
+                out_ref += np.einsum("io,ihw->ohw", kern[di, dj], window)
+                dxpad[:, di:di + h, dj:dj + w] += np.einsum(
+                    "io,ohw->ihw", kern[di, dj], d)
+                dkern_ref[di, dj] = np.einsum("ihw,ohw->io", window, d)
+        dx_ref = dxpad[:, pad:pad + h, pad:pad + w]
+        for got, ref in ((out, out_ref), (dx, dx_ref), (dkern, dkern_ref)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 class TestSubnet:
     def test_zero_kernels_ista_is_identity(self):

@@ -168,6 +168,11 @@ class TestMeasure:
         meas = measure(self.model, self.c, np.inf)
         assert np.array_equal(meas.y, self.model.apply(self.c))
 
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_snr_must_be_a_number_or_plus_inf(self, snr):
+        with pytest.raises(ValueError, match="snr_db"):
+            measure(self.model, self.c, snr)
+
     def test_snr_rescaling_identity(self):
         meas = measure(self.model, self.c, 60.0, seed=5)
         clean = self.model.apply(self.c)
@@ -291,11 +296,12 @@ class TestComposition:
 
 
 def mapped_gram(model, w):
-    """Psi Diag(w) Psi^T as the Woodbury u-update forms it: lower triangle only."""
+    """Psi Diag(w) Psi^T as the Woodbury u-update forms it: lower triangle
+    only, at column-major positions, so its transpose is the matrix."""
     flat, gram = model.gram_map()
     s = np.zeros(model.m * model.m)
     s[flat] = gram @ w
-    return s.reshape(model.m, model.m)
+    return s.reshape(model.m, model.m).T
 
 
 class TestGramMap:
@@ -305,7 +311,7 @@ class TestGramMap:
         psi = model.psi.toarray()
         expect = np.tril((psi * w[None, :]) @ psi.T)
         flat, _ = model.gram_map()
-        assert np.all(flat // model.m >= flat % model.m)
+        assert np.all(flat // model.m <= flat % model.m)
         got = mapped_gram(model, w)
         assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 

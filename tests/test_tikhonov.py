@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from cginvert import gcgls
+from cginvert import gcgls, tikhonov
 from cginvert.covariance import KINDS, CovarianceParam
 from cginvert.errors import DivergenceError
 from cginvert.regularizer import ScaleRegularizer, cost
@@ -21,6 +24,7 @@ from cginvert.tikhonov import (
     tikhonov_woodbury,
     u_objective,
 )
+from test_sensing import mapped_gram
 
 
 def random_cov(kind, n, rng, scale=1.0):
@@ -253,6 +257,93 @@ class TestWoodbury:
                     ScaleRegularizer.log_squared(0.05),
                     gcgls.SolverConfig(K=2, J=2))
         assert model._dense_a is None
+
+
+class TestInPlaceFactor:
+    """The sparse Woodbury system is formed where LAPACK factors it."""
+
+    @pytest.fixture(scope="class")
+    def radon(self):
+        model = build_radon(32, 15)
+        rng = np.random.default_rng(0)
+        z = rng.uniform(0.2, 2.0, model.n)
+        y = model.apply(rng.uniform(0.0, 1.0, model.n))
+        return model, z, y, CovarianceParam.scaled_identity(model.n, 1.5)
+
+    def test_factor_equals_factor_of_full_system(self, radon):
+        model, z, y, p = radon
+        _, (route, (c, lower)) = tikhonov_factored(z, model, y, p)
+        low = mapped_gram(model, z * z * p.diag_values()) + np.eye(model.m)
+        ref, _ = sla.cho_factor(low + np.tril(low, -1).T, lower=True)
+        assert route == "woodbury" and lower
+        assert np.array_equal(np.tril(c), np.tril(ref))
+
+    def test_factor_overwrites_the_formed_system(self, radon, monkeypatch):
+        model, z, y, p = radon
+        seen = []
+
+        def spy(a, **kwargs):
+            cho = sla.cho_factor(a, **kwargs)
+            seen.append((a, cho[0]))
+            return cho
+
+        monkeypatch.setattr(tikhonov, "sla", types.SimpleNamespace(
+            cho_factor=spy, cho_solve=sla.cho_solve))
+        tikhonov_factored(z, model, y, p)
+        [(a, c)] = seen
+        assert a.flags.f_contiguous and np.shares_memory(a, c)
+
+    def test_update_holds_one_m_by_m_array(self, radon):
+        model, z, y, p = radon
+        tikhonov_factored(z, model, y, p)  # builds the cached gram map
+        tracemalloc.start()
+        try:
+            tikhonov_factored(z, model, y, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.m ** 2 * 8
+
+
+class TestNonFiniteInput:
+    """A non-finite system or right-hand side raises LinAlgError, the error
+    a failed factorization raises, on every exact route."""
+
+    ROUTES = {
+        "sparse-woodbury": lambda rng: build_radon(6, 3),
+        "dense-woodbury": lambda rng: SensingModel(
+            rng.standard_normal((6, 14)) / math.sqrt(14)),
+        "direct": lambda rng: SensingModel(
+            rng.standard_normal((14, 6)) / math.sqrt(6)),
+    }
+
+    # taken mod n: next to the center of the 6 x 6 Radon image, where
+    # every ray angle crosses; the Gaussian operators have no empty column
+    PIXEL = 21
+
+    def instance(self, route):
+        rng = np.random.default_rng(list(self.ROUTES).index(route))
+        model = self.ROUTES[route](rng)
+        p = CovarianceParam.diagonal(model.n, rng.uniform(0.5, 2.0, model.n))
+        return (model, rng.uniform(0.2, 2.0, model.n),
+                rng.standard_normal(model.m), p, rng.standard_normal(model.n))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_non_finite_z(self, route, bad):
+        model, z, y, p, _ = self.instance(route)
+        z[self.PIXEL % model.n] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            tikhonov_factored(z, model, y, p)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_non_finite_adjoint_input(self, route):
+        model, z, y, p, b = self.instance(route)
+        _, factor = tikhonov_factored(z, model, y, p)
+        b[self.PIXEL % model.n] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            tikhonov_adjoint(b, z, model, p, factor)
 
 
 def dense_u_system(z, model, p):
