@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, solve, train, eval, diagnose, param-count.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.  --seed is universal, falling back to the CG_INVERT_SEED
-environment variable when unset.
+failure, each with a one-line message.  Every subcommand takes --seed,
+falling back to the CG_INVERT_SEED environment variable when unset.
 """
 
 from __future__ import annotations
@@ -191,6 +191,8 @@ def cmd_eval(args):
     rows = []
     for i, (y, c_true) in enumerate(ds.pairs):
         c_hat, _ = forward(y, model, params, want_tape=False)
+        if not np.isfinite(c_hat).all():
+            raise NumericalError(f"network output for sample {i} is not finite")
         s_hat = _image_domain(model, c_hat)
         s_true = _image_domain(model, c_true)
         rows.append({
@@ -256,15 +258,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cginvert",
         description="Compound-Gaussian solvers for linear inverse problems")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="universal seed (fallback: CG_INVERT_SEED)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
         sp.add_argument("--config", required=False, default=None)
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a configuration value")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="train and data seed (fallback: CG_INVERT_SEED)")
 
     sp = sub.add_parser("gen-data", help="synthesize a measurement dataset")
     add_common(sp)
@@ -306,14 +307,17 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every numerical failure has an explicit finite check, so NumPy's
+        # floating-point warnings would only precede its one-line message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except CgInvertError as exc:

@@ -6,7 +6,7 @@ data.*.  Unknown keys are rejected by name; CLI --set overrides file values.
 
 from __future__ import annotations
 
-from .covariance import CovarianceParam
+from .covariance import DEFAULT_EPS, CovarianceParam
 from .drcgnet.params import NetConfig, TrainConfig, init_params
 from .errors import ConfigError
 from .gcgls import SolverConfig
@@ -50,43 +50,43 @@ _REGISTRY = {
     "sensing.dict": (str, "identity"),
     "reg.kind": (str, "logsq"),
     "reg.mu": (float, 1.0),
-    "tikhonov.mode": (str, "exact"),
-    "tikhonov.nagd_steps": (int, 100),
-    "tikhonov.eta": (_float_or_auto, None),
-    "zstep.method": (str, "pgd"),
-    "zstep.linesearch": (str, "backtrack"),
-    "zstep.eta": (_float_or_auto, None),
-    "zstep.alpha": (float, 0.3),
-    "solver.K": (int, 50),
-    "solver.J": (int, 3),
-    "solver.b": (float, 10.0),
-    "solver.stop_tol": (float, 0.0),
+    "tikhonov.mode": (str, SolverConfig.tikhonov_mode),
+    "tikhonov.nagd_steps": (int, NagdConfig.steps),
+    "tikhonov.eta": (_float_or_auto, NagdConfig.eta),
+    "zstep.method": (str, SolverConfig.zstep_method),
+    "zstep.linesearch": (str, LinesearchConfig.mode),
+    "zstep.eta": (_float_or_auto, LinesearchConfig.eta),
+    "zstep.alpha": (float, LinesearchConfig.alpha),
+    "solver.K": (int, SolverConfig.K),
+    "solver.J": (int, SolverConfig.J),
+    "solver.b": (float, SolverConfig.b),
+    "solver.stop_tol": (float, SolverConfig.stop_tol),
     "solver.cov": (str, "scaled_identity"),
     "solver.cov_value": (float, 1.0),
-    "solver.eps": (float, 1e-4),
-    "net.K": (int, 3),
-    "net.J": (int, 4),
-    "net.depth": (int, 8),
-    "net.kernel": (int, 3),
-    "net.channels": (_int_list, (32, 32, 32, 32, 32, 32, 32, 1)),
-    "net.variant": (str, "ista"),
-    "net.cov": (str, "scaled_identity"),
-    "net.gamma_max": (float, 1.0),
-    "net.b": (float, 10.0),
-    "net.u_mode": (str, "exact"),
-    "net.nagd_steps": (int, 100),
-    "net.nagd_eta": (_float_or_auto, None),
-    "net.refine": (_bool, True),
-    "net.eps": (float, 1e-4),
+    "solver.eps": (float, DEFAULT_EPS),
+    "net.K": (int, NetConfig.K),
+    "net.J": (int, NetConfig.J),
+    "net.depth": (int, NetConfig.depth),
+    "net.kernel": (int, NetConfig.kernel),
+    "net.channels": (_int_list, NetConfig.channels),
+    "net.variant": (str, NetConfig.variant),
+    "net.cov": (str, NetConfig.cov_kind),
+    "net.gamma_max": (float, NetConfig.gamma_max),
+    "net.b": (float, NetConfig.b),
+    "net.u_mode": (str, NetConfig.u_mode),
+    "net.nagd_steps": (int, NetConfig.nagd_steps),
+    "net.nagd_eta": (_float_or_auto, NetConfig.nagd_eta),
+    "net.refine": (_bool, NetConfig.refine),
+    "net.eps": (float, NetConfig.eps),
     "net.cov_init": (_float_or_auto, None),
-    "train.lr": (float, 1e-4),
-    "train.epochs": (int, 2000),
-    "train.batch": (int, 0),
-    "train.beta1": (float, 0.9),
-    "train.beta2": (float, 0.999),
-    "train.eps_adam": (float, 1e-8),
-    "train.seed": (int, 0),
-    "train.patience": (_int_or_none, None),
+    "train.lr": (float, TrainConfig.lr),
+    "train.epochs": (int, TrainConfig.epochs),
+    "train.batch": (int, TrainConfig.batch),
+    "train.beta1": (float, TrainConfig.beta1),
+    "train.beta2": (float, TrainConfig.beta2),
+    "train.eps_adam": (float, TrainConfig.eps_adam),
+    "train.seed": (int, TrainConfig.seed),
+    "train.patience": (_int_or_none, TrainConfig.patience),
     "train.val_fraction": (float, 0.0),
     "data.source": (str, "synthetic"),
     "data.samples": (int, 10),

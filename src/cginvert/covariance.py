@@ -22,6 +22,8 @@ import scipy.linalg as sla
 
 __all__ = ["CovarianceParam"]
 
+DEFAULT_EPS = 1e-4
+
 # kind -> {checkpoint name: shape} of its learnable arrays for signal length n
 _SHAPES = {
     "scaled_identity": lambda n: {"cov.lam": (1,)},
@@ -41,7 +43,7 @@ class CovarianceParam:
     the documented ones raises ValueError.
     """
 
-    def __init__(self, kind, n, arrays, eps=1e-4):
+    def __init__(self, kind, n, arrays, eps=DEFAULT_EPS):
         self.check(kind, eps)
         self.kind = kind
         self.n = n
@@ -75,23 +77,23 @@ class CovarianceParam:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def scaled_identity(cls, n, lam, eps=1e-4):
+    def scaled_identity(cls, n, lam, eps=DEFAULT_EPS):
         return cls("scaled_identity", n, {"cov.lam": [lam]}, eps)
 
     @classmethod
-    def diagonal(cls, n, diag, eps=1e-4):
+    def diagonal(cls, n, diag, eps=DEFAULT_EPS):
         return cls("diagonal", n, {"cov.diag": diag}, eps)
 
     @classmethod
-    def tridiagonal(cls, n, d1, d2, eps=1e-4):
+    def tridiagonal(cls, n, d1, d2, eps=DEFAULT_EPS):
         return cls("tridiagonal", n, {"cov.d1": d1, "cov.d2": d2}, eps)
 
     @classmethod
-    def full(cls, n, tril, eps=1e-4):
+    def full(cls, n, tril, eps=DEFAULT_EPS):
         return cls("full", n, {"cov.L": tril}, eps)
 
     @classmethod
-    def init_default(cls, kind, n, diag_value, eps=1e-4):
+    def init_default(cls, kind, n, diag_value, eps=DEFAULT_EPS):
         """Initialize so that the realized P equals max(diag_value, eps) * I
         exactly; a non-finite diag_value raises ValueError."""
         if not math.isfinite(diag_value):

@@ -103,7 +103,7 @@ def gen_dataset(source, model, snr_db, n_samples, seed):
     for i, s in enumerate(rasters):
         c = model.phi.T @ s if model.phi is not None else s
         noise_seed = seed + 1000003 * (i + 1)
-        y = measure(model, c, snr_db, seed=noise_seed).y
+        y = measure(model, c, snr_db, seed=noise_seed)
         pairs.append((y, c))
         seeds.append(noise_seed)
 

@@ -94,8 +94,8 @@ def _gmap_forward(z, u, model, y, delta, gamma_max, kernels, variant, side):
     z_out = np.maximum(pre, 0.0)
     return z_out, {
         "z_in": z, "u": u, "t_adj": t_adj, "g": g, "norm": norm, "s": s,
-        "eta": eta, "delta": delta, "gamma_max": gamma_max, "r": r,
-        "cache": cache, "pre": pre, "variant": variant,
+        "delta": delta, "gamma_max": gamma_max, "cache": cache, "pre": pre,
+        "variant": variant,
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..covariance import CovarianceParam
+from ..covariance import DEFAULT_EPS, CovarianceParam
 from ..errors import ConfigError, read_manifest
 from ..tikhonov import NagdConfig
 from .conv import glorot_uniform
@@ -41,7 +41,7 @@ class NetConfig:
     nagd_steps: int = 100
     nagd_eta: float | None = None      # required for u_mode="nagd"
     refine: bool = True
-    eps: float = 1e-4
+    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.K < 1 or self.J < 1:
@@ -206,7 +206,8 @@ def load_checkpoint(path_dir):
 
     A missing file, a manifest that is not a JSON object, lacks a key or
     has a mistyped value, an array set or shape other than the one its net
-    and n give, and a blob of the wrong length raise ConfigError.
+    and n give, and a blob of the wrong length or with non-finite values
+    raise ConfigError.
     """
     import os
 
@@ -235,6 +236,8 @@ def load_checkpoint(path_dir):
     expected = sum(int(np.prod(shape)) for shape in shapes)
     if blob.size != expected:
         raise ConfigError(f"checkpoint blob has {blob.size} scalars, expected {expected}")
+    if not np.isfinite(blob).all():
+        raise ConfigError(f"{blob_path} holds non-finite values")
     values, pos = {}, 0
     for name, shape in zip(manifest["order"], shapes):
         size = int(np.prod(shape))

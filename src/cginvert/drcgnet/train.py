@@ -18,7 +18,7 @@ __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 class Adam:
     """Adaptive-moment optimizer over a dict of parameter arrays."""
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr, beta1, beta2, eps):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -8,7 +8,6 @@ cost trace is recorded after every block and asserted non-increasing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,6 @@ class SolverConfig:
     zstep_method: str = "pgd"          # "pgd" | "ista"
     linesearch: LinesearchConfig = field(default_factory=LinesearchConfig)
     stop_tol: float = 0.0
-    max_wall: float | None = None
 
     def __post_init__(self):
         if self.K < 1 or self.J < 1:
@@ -101,7 +99,6 @@ def solve(model, y, p, r, cfg):
     non-finite y raises DataError."""
     if not np.isfinite(y).all():
         raise DataError("measurements y hold non-finite values")
-    t_start = time.monotonic()
     step = pgd_step if cfg.zstep_method == "pgd" else ista_step
 
     z = initial_scale(model, y, cfg.b)
@@ -161,9 +158,6 @@ def solve(model, y, p, r, cfg):
         if cfg.stop_tol > 0.0 and combined < cfg.stop_tol:
             converged = True
             stop_reason = "tolerance"
-            break
-        if cfg.max_wall is not None and time.monotonic() - t_start > cfg.max_wall:
-            stop_reason = "wall_clock"
             break
 
     stat_u = float(np.linalg.norm(grad_u(state.u, state.z, model, y, p)))

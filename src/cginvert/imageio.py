@@ -1,8 +1,7 @@
-"""Image I/O: binary/ASCII PGM and CSV rasters.
+"""Image I/O: PGM reading (P2/P5) and binary PGM writing.
 
 PGM pixel values are scaled to [0, 1] on load by dividing by the header
-maxval.  CSV files hold one image per row (row-major raster) and are taken
-as already scaled to [0, 1].
+maxval.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["read_pgm", "write_pgm", "read_csv_images", "write_csv_images"]
+__all__ = ["read_pgm", "write_pgm"]
 
 
 def _pgm_tokens(data):
@@ -63,32 +62,14 @@ def read_pgm(path):
     return (img / maxval).reshape(h, w)
 
 
-def write_pgm(path, img, binary=True):
-    """Write a [0, 1] float image as 8-bit PGM (P5 by default, P2 otherwise)."""
+def write_pgm(path, img):
+    """Write a [0, 1] float image as 8-bit binary PGM (P5)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("write_pgm expects a 2-D image")
     pix = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = pix.shape
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(pix.tobytes())
-        else:
-            fh.write(f"P2\n{w} {h}\n255\n".encode())
-            for row in pix:
-                fh.write((" ".join(str(v) for v in row) + "\n").encode())
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(pix.tobytes())
 
-
-def read_csv_images(path):
-    """Load a CSV of rasters: one image per row, row-major, values in [0, 1]."""
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return [row.copy() for row in arr]
-
-
-def write_csv_images(path, rasters):
-    """Write rasters (iterable of 1-D arrays) one per CSV row."""
-    with open(path, "w") as fh:
-        for r in rasters:
-            fh.write(",".join(repr(float(v)) for v in np.asarray(r).ravel()))
-            fh.write("\n")

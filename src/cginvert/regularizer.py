@@ -106,16 +106,16 @@ class ScaleRegularizer:
             return np.asarray(self._prox_fn(v, eta), dtype=np.float64)
         return _prox_log_squared(np.asarray(v, dtype=np.float64), eta * self.mu)
 
-    def curvature_bound(self, z, span=3.0, samples=9):
+    def curvature_bound(self, z):
         """Max |R''| sampled over per-coordinate ranges around the current z.
 
         Used as the regularizer part of a local Lipschitz estimate; samples
-        multiplicative factors in [1/span, span] around each coordinate.
+        9 multiplicative factors in [1/3, 3] around each coordinate.
         """
         if self.kind != "logsq":
             return 0.0
         z = np.maximum(np.asarray(z, dtype=np.float64), self.floor)
-        factors = np.geomspace(1.0 / span, span, samples)
+        factors = np.geomspace(1.0 / 3.0, 3.0, 9)
         t = np.maximum(z[None, :] * factors[:, None], self.floor)
         curv = 2.0 * self.mu * np.abs(1.0 - np.log(t)) / (t * t)
         return float(curv.max())

@@ -65,15 +65,13 @@ class StationarityResidual(NamedTuple):
     relative: float
 
 
-def estimate_au_norm_sq(u, model, iters=100, tol=1e-10, seed=0):
+def estimate_au_norm_sq(u, model):
     """||A_u||_2^2 via power iteration on A_u^T A_u."""
     nrm = spectral_norm(
         lambda x: model.apply(u * x),
         lambda w: u * model.adjoint(w),
         model.n,
-        iters=iters,
-        tol=tol,
-        seed=seed,
+        tol=1e-10,
     )
     return nrm * nrm
 
@@ -141,16 +139,14 @@ def stationarity_residual(z, u, model, y, r, eta_probe, method="pgd"):
     """Fixed-point residual ||z - step(z)||_inf of the configured map.
 
     Zero exactly at stationary points; reported both absolutely and
-    relative to ||z||_inf.
+    relative to ||z||_inf.  The probe is one fixed step of size eta_probe,
+    so a non-positive eta_probe raises ValueError.
     """
-    if eta_probe <= 0:
-        raise ValueError("eta_probe must be positive")
-    if method == "pgd":
-        cand = r.project(z - eta_probe * (grad_z_datafit(z, u, model, y) + r.grad(z)))
-    elif method == "ista":
-        cand = r.prox(z - eta_probe * grad_z_datafit(z, u, model, y), eta_probe)
-    else:
+    steps = {"pgd": pgd_step, "ista": ista_step}
+    if method not in steps:
         raise ValueError(f"unknown method {method!r}")
+    cand, _ = steps[method](z, u, model, y, r,
+                            LinesearchConfig(mode="fixed", eta=eta_probe))
     absolute = float(np.max(np.abs(z - cand))) if z.size else 0.0
     scale = float(np.max(np.abs(z))) if z.size else 0.0
     return StationarityResidual(absolute, absolute / max(scale, 1e-300))

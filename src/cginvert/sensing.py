@@ -8,7 +8,6 @@ optional orthonormal dictionary (2-D DCT) or the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,26 +17,25 @@ from .errors import DataError
 
 __all__ = [
     "SensingModel",
-    "Measurement",
     "build_radon",
     "build_gaussian",
     "build_dct",
     "measure",
     "spectral_norm",
-    "export_operator_csv",
 ]
 
 
-def spectral_norm(matvec, rmatvec, n, iters=100, tol=1e-8, seed=0):
+def spectral_norm(matvec, rmatvec, n, tol=1e-8):
     """Estimate the largest singular value of an operator by power iteration.
 
-    Runs on A^T A; deterministic start vector from the given seed.
+    Runs at most 100 iterations on A^T A from a start vector drawn with
+    seed 0, so the estimate is deterministic.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         w = rmatvec(matvec(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -142,15 +140,6 @@ class SensingModel:
         cfg = {"m": self.m, "n": self.n, "side": self.side}
         cfg.update(self.meta)
         return cfg
-
-
-@dataclass
-class Measurement:
-    """A noisy measurement vector with its configured SNR and noise seed."""
-
-    y: np.ndarray
-    snr_db: float
-    noise_seed: int = 0
 
 
 def _radon_ray_weights(side, theta, t):
@@ -266,7 +255,7 @@ def build_dct(n):
 
 
 def measure(model, c, snr_db, seed=0):
-    """Synthesize y = A c + noise with the realized SNR equal to snr_db.
+    """Return y = A c + noise with the realized SNR equal to snr_db.
 
     White Gaussian noise is rescaled after sampling so that
     10*log10(||Ac||^2 / ||noise||^2) hits snr_db exactly.  snr_db = inf
@@ -276,28 +265,12 @@ def measure(model, c, snr_db, seed=0):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
     clean = model.apply(c)
     if snr_db == np.inf:
-        return Measurement(y=clean, snr_db=snr_db, noise_seed=seed)
+        return clean
     sig = np.linalg.norm(clean)
     if sig == 0.0:
         raise DataError("zero signal: ||A c|| = 0 with finite SNR requested")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(model.m)
     g *= sig / (np.linalg.norm(g) * 10.0 ** (snr_db / 20.0))
-    return Measurement(y=clean + g, snr_db=snr_db, noise_seed=seed)
+    return clean + g
 
-
-def export_operator_csv(model, path):
-    """Write A in (row, col, value) triplet CSV form for inspection."""
-    a = model.dense_a() if model.phi is not None else model.psi
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        if sp.issparse(a):
-            coo = a.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r},{c},{float(v)!r}\n")
-        else:
-            for r in range(a.shape[0]):
-                for c in range(a.shape[1]):
-                    v = a[r, c]
-                    if v != 0.0:
-                        fh.write(f"{r},{c},{float(v)!r}\n")

@@ -22,13 +22,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .covariance import CovarianceParam
 from .errors import DivergenceError
 from .sensing import spectral_norm
 
 __all__ = [
     "NagdConfig",
-    "CovarianceParam",
     "tikhonov_exact",
     "tikhonov_woodbury",
     "tikhonov_solve",

@@ -138,7 +138,7 @@ def test_c05_gcgls_convergence_diagnostics():
         rng = np.random.default_rng(100 + inst)
         model = SensingModel(rng.standard_normal((12, 16)) / 4.0)
         c = rng.standard_normal(16)
-        y = measure(model, c, 60.0, seed=300 + inst).y
+        y = measure(model, c, 60.0, seed=300 + inst)
         p = CovarianceParam.scaled_identity(16, 1.0)
         r = ScaleRegularizer.log_squared(0.5)
         rep = solve(model, y, p, r,
@@ -181,7 +181,7 @@ def test_c07_gradient_correctness():
     rng = np.random.default_rng(5)
     model = SensingModel(rng.standard_normal((10, 16)) / 4.0)
     c = np.abs(rng.standard_normal(16))
-    y = measure(model, c, 40.0, seed=2).y
+    y = measure(model, c, 40.0, seed=2)
     for variant in ("pgd", "ista"):
         for u_mode in ("exact", "nagd"):
             cfg = NetConfig(K=2, J=2, depth=2, kernel=3, channels=(4, 1),
@@ -246,7 +246,7 @@ def test_c09_unrolled_equals_iterative():
         n, m = 16, 10 if inst % 2 == 0 else 20
         model = SensingModel(rng.standard_normal((m, n)) / 4.0)
         s_true = rng.uniform(0, 1, n)
-        y = measure(model, s_true, 60.0, seed=inst).y
+        y = measure(model, s_true, 60.0, seed=inst)
         variant = "pgd" if inst % 3 else "ista"
         u_mode = "nagd" if inst in (4, 7) else "exact"
         eta_fix = 0.3

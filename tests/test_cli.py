@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -304,8 +305,9 @@ class TestMalformedInput:
         assert code == 2 and f"--index {index}" in err
 
     def eval_corrupt_checkpoint(self, cfg_path, tmp_path, capsys, corrupt,
-                                *sets):
-        """Train one epoch, apply corrupt(ck) and return eval's stderr."""
+                                *sets, code=2, kind="config error"):
+        """Train one epoch, apply corrupt(ck) and return eval's stderr, which
+        must be one line of the given kind with the given exit code."""
         ds = self.gen(cfg_path, tmp_path)
         ck = tmp_path / "ck"
         overrides = [arg for kv in ("train.epochs=1",) + sets
@@ -314,12 +316,12 @@ class TestMalformedInput:
                    "--dataset", str(ds), "--out", str(ck)) == 0
         corrupt(ck)
         capsys.readouterr()
-        code = run("eval", "--config", cfg_path, *overrides,
-                   "--dataset", str(ds), "--checkpoint", str(ck),
-                   "--out", str(tmp_path / "ev"))
+        got = run("eval", "--config", cfg_path, *overrides,
+                  "--dataset", str(ds), "--checkpoint", str(ck),
+                  "--out", str(tmp_path / "ev"))
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert got == code
+        assert err.count("\n") == 1 and err.startswith(f"{kind}: ")
         return err
 
     def test_short_checkpoint_blob(self, cfg_path, tmp_path, capsys):
@@ -391,6 +393,38 @@ class TestMalformedInput:
             cfg_path, tmp_path, capsys, lambda ck: (ck / name).unlink())
         assert name in err
 
+    def test_checkpoint_non_finite_value(self, cfg_path, tmp_path, capsys):
+        def corrupt(ck):
+            blob = np.fromfile(ck / "params.bin", dtype="<f8")
+            blob[-1] = np.nan
+            blob.tofile(ck / "params.bin")
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "params.bin holds non-finite values" in err
+
+    @pytest.mark.parametrize("prefix,factor,expect", [
+        ("w.", 1e200, "u-update system has non-finite entries"),
+        ("w.refine.", 1e300, "network output for sample 0 is not finite")],
+        ids=["kernels-1e200", "refine-kernels-1e300"])
+    def test_checkpoint_overflowing_kernels(self, cfg_path, tmp_path, capsys,
+                                            prefix, factor, expect):
+        # finite kernels this large overflow the forward pass: either the
+        # Tikhonov system or, after the last one, the output turns non-finite
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            blob = np.fromfile(ck / "params.bin", dtype="<f8")
+            pos = 0
+            for name in manifest["order"]:
+                size = int(np.prod(manifest["shapes"][name]))
+                if name.startswith(prefix):
+                    blob[pos:pos + size] *= factor
+                pos += size
+            blob.tofile(ck / "params.bin")
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt,
+                                           code=4, kind="numerical failure")
+        assert expect in err
+
 
 class TestTrainEval:
     def test_train_then_eval_matches_final_mae(self, cfg_path, tmp_path, capsys):
@@ -438,12 +472,15 @@ class TestTrainEval:
         run("gen-data", "--config", cfg_path, "--set", "sensing.angles=4",
             "--out", str(ds))
         capsys.readouterr()
-        code = run("train", "--config", cfg_path, "--set", "sensing.angles=4",
-                   "--set", "train.lr=1e200", "--set", "net.K=2", "--set",
-                   "net.J=2", "--set", "net.channels=8,1", "--set",
-                   "train.epochs=20", "--dataset", str(ds),
-                   "--out", str(tmp_path / "ck"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("train", "--config", cfg_path, "--set", "sensing.angles=4",
+                       "--set", "train.lr=1e200", "--set", "net.K=2", "--set",
+                       "net.J=2", "--set", "net.channels=8,1", "--set",
+                       "train.epochs=20", "--dataset", str(ds),
+                       "--out", str(tmp_path / "ck"))
         err = capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 4
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: solver breakdown")
@@ -486,3 +523,11 @@ class TestSeeds:
                    "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["generation"]["seed"] == 7
+
+    def test_seed_before_the_subcommand_is_rejected(self, cfg_path, tmp_path):
+        # the flag belongs to each subcommand; before one it would be lost
+        out = tmp_path / "ds"
+        with pytest.raises(SystemExit) as exc:
+            run("--seed", "7", "gen-data", "--config", cfg_path, "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()

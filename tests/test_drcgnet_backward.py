@@ -11,7 +11,7 @@ def fd_instance(seed=5, n=16, m=10):
     rng = np.random.default_rng(seed)
     model = SensingModel(rng.standard_normal((m, n)) / math.sqrt(n))
     c = np.abs(rng.standard_normal(n))
-    y = measure(model, c, 40.0, seed=2).y
+    y = measure(model, c, 40.0, seed=2)
     return model, y, rng
 
 
@@ -90,7 +90,7 @@ class TestFiniteDifferences:
         # is formed from the sparse Psi
         model = build_radon(6, 3)
         rng = np.random.default_rng(12)
-        y = measure(model, rng.uniform(0.0, 1.0, model.n), 40.0, seed=2).y
+        y = measure(model, rng.uniform(0.0, 1.0, model.n), 40.0, seed=2)
         cfg = NetConfig(K=1, J=2, depth=2, kernel=3, channels=(3, 1),
                         variant="pgd", cov_kind="diagonal", gamma_max=1e6,
                         refine=True)

@@ -195,7 +195,7 @@ class TestForward:
         # initialization, leaving only the Tikhonov updates
         model, rng = small_model(10, 16, 8)
         s = rng.uniform(0, 1, 16)
-        y = measure(model, s, 60.0, seed=1).y
+        y = measure(model, s, 60.0, seed=1)
         for variant in ("pgd", "ista"):
             cfg = NetConfig(K=2, J=3, depth=2, kernel=3, channels=(3, 1),
                             variant=variant, cov_kind="scaled_identity",
