@@ -170,8 +170,8 @@ def cmd_train(args):
         for e, tm in enumerate(history["train_mae"]):
             vm = history["val_mae"][e] if e < len(history["val_mae"]) else ""
             fh.write(f"{e},{_fmt(tm)},{_fmt(vm) if vm != '' else ''}\n")
-    print(f"trained {len(history['train_mae'])} epochs; final train MAE "
-          f"{history['train_mae'][-1]:.6g} -> {args.out}")
+    print(f"trained {len(history['train_mae'])} epochs; last epoch's mean batch "
+          f"MAE {history['train_mae'][-1]:.6g} -> {args.out}")
     return 0
 
 

@@ -107,18 +107,25 @@ class ScaleRegularizer:
         return _prox_log_squared(np.asarray(v, dtype=np.float64), eta * self.mu)
 
     def curvature_bound(self, z):
-        """Max |R''| sampled over per-coordinate ranges around the current z.
+        """Max of |R''| over t in [max(z/3, floor), 3z], every coordinate.
 
-        Used as the regularizer part of a local Lipschitz estimate; samples
-        9 multiplicative factors in [1/3, 3] around each coordinate.
+        |R''(t)| = 2mu|1 - log t|/t^2 falls on (0, e], is 0 at e, rises to
+        mu/e^3 at e^{3/2} and falls beyond, so its maximum on an interval is
+        the larger end value, or mu/e^3 when e^{3/2} lies inside.  This is
+        R's share of the fixed PGD step's Lipschitz constant (zstep.eta
+        unset), which is certified only while the step keeps every
+        coordinate inside its interval; outside, the solver's monotonicity
+        check is the guard (exit 4).
         """
         if self.kind != "logsq":
             return 0.0
         z = np.maximum(np.asarray(z, dtype=np.float64), self.floor)
-        factors = np.geomspace(1.0 / 3.0, 3.0, 9)
-        t = np.maximum(z[None, :] * factors[:, None], self.floor)
-        curv = 2.0 * self.mu * np.abs(1.0 - np.log(t)) / (t * t)
-        return float(curv.max())
+        lo, hi = np.maximum(z / 3.0, self.floor), 3.0 * z
+        t = np.concatenate([lo, hi])
+        bound = float((2.0 * self.mu * np.abs(1.0 - np.log(t)) / (t * t)).max())
+        if np.any((lo <= np.exp(1.5)) & (np.exp(1.5) <= hi)):
+            bound = max(bound, self.mu * np.exp(-3.0))
+        return bound
 
 
 def _prox_log_squared(v, a, tol=1e-13):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dct as _dct
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "SensingModel",
@@ -259,18 +259,24 @@ def measure(model, c, snr_db, seed=0):
 
     White Gaussian noise is rescaled after sampling so that
     10*log10(||Ac||^2 / ||noise||^2) hits snr_db exactly.  snr_db = inf
-    yields noiseless measurements.
+    yields noiseless measurements.  A non-finite A c, ||A c|| or y raises
+    NumericalError.
     """
     if not snr_db > -np.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
     clean = model.apply(c)
+    sig = np.linalg.norm(clean)
+    if not np.isfinite(sig):
+        raise NumericalError(f"||A c|| = {sig!r} is not finite")
     if snr_db == np.inf:
         return clean
-    sig = np.linalg.norm(clean)
     if sig == 0.0:
         raise DataError("zero signal: ||A c|| = 0 with finite SNR requested")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(model.m)
     g *= sig / (np.linalg.norm(g) * 10.0 ** (snr_db / 20.0))
-    return clean + g
+    y = clean + g
+    if not np.isfinite(y).all():
+        raise NumericalError(f"measurements at {snr_db!r} dB SNR are not finite")
+    return y
 

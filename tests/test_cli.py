@@ -7,6 +7,7 @@ import pytest
 
 from cginvert.cli import main
 from cginvert.data_metrics import load_dataset
+from cginvert.drcgnet import evaluate_mae, load_checkpoint
 from cginvert.sensing import build_radon
 
 BASE = """
@@ -273,6 +274,17 @@ class TestMalformedInput:
         y, c = load_dataset(str(ds)).pairs[0]
         assert np.array_equal(y, build_radon(8, 6).apply(c))
 
+    @pytest.mark.parametrize("snr", ["80", "inf"])
+    def test_gen_data_overflowing_measurements(self, cfg_path, tmp_path, capsys,
+                                               snr):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            "sensing.scale=1e160", "--set", f"data.snr_db={snr}",
+            "--out", str(tmp_path / "ds"))
+        assert code == 4 and err.startswith("numerical failure: ")
+        assert "||A c||" in err
+        assert not (tmp_path / "ds").exists()
+
     def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):
         code, err = self.one_line_error(
             capsys, "gen-data", "--config", cfg_path, "--set", "data.samples=0",
@@ -434,8 +446,9 @@ class TestTrainEval:
         run("gen-data", "--config", cfg_path, "--out", str(ds))
         assert run("train", "--config", cfg_path, "--dataset", str(ds),
                    "--out", str(ck)) == 0
-        hist = (ck / "loss_history.csv").read_text().splitlines()
-        final_mae = float(hist[-1].split(",")[1])
+        params, _ = load_checkpoint(ck)
+        final_mae = evaluate_mae(load_dataset(str(ds)).pairs, build_radon(8, 6),
+                                 params)
         assert run("eval", "--config", cfg_path, "--dataset", str(ds),
                    "--checkpoint", str(ck), "--out", str(ev)) == 0
         rows = (ev / "metrics.csv").read_text().splitlines()[1:]

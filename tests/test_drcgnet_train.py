@@ -43,8 +43,8 @@ class TestTrain:
         tcfg = TrainConfig(lr=2e-3, epochs=40, seed=0)
         init_mae = evaluate_mae(
             ds.pairs, model, init_params(cfg, model.n, seed=0, cov_init=0.1))
-        _, hist = train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
-        assert hist["train_mae"][-1] < 0.7 * init_mae
+        params, _ = train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+        assert evaluate_mae(ds.pairs, model, params) < 0.7 * init_mae
 
     def test_deterministic_history(self):
         model, ds, cfg = toy_setup()
@@ -59,6 +59,45 @@ class TestTrain:
         with pytest.raises(NanLossError) as info:
             train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
         assert "epoch" in info.value.dump
+
+    def test_diverged_only_update_aborts_with_dump(self):
+        # measurements and images 1e3 times brighter push a batch gradient
+        # entry above 2, so lr * gradient overflows on the one update
+        model, ds, cfg = toy_setup()
+        pairs = [(1e3 * y, 1e3 * c) for y, c in ds.pairs]
+        tcfg = TrainConfig(lr=1e308, epochs=1, seed=0)
+        with pytest.raises(NanLossError, match="non-finite parameters") as info, \
+                np.errstate(over="ignore"):
+            train(pairs, model, cfg, tcfg, cov_init=0.1)
+        assert "epoch" in info.value.dump
+
+    def test_full_batch_history_is_mae_before_each_update(self):
+        model, ds, cfg = toy_setup()
+        tcfg = TrainConfig(lr=1e-3, epochs=3, seed=0)
+        _, hist = train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        for e in range(tcfg.epochs):
+            if e > 0:
+                params, _ = train(ds.pairs, model, cfg,
+                                  TrainConfig(lr=1e-3, epochs=e, seed=0),
+                                  cov_init=0.1)
+            assert hist["train_mae"][e] == pytest.approx(
+                evaluate_mae(ds.pairs, model, params), rel=1e-12), e
+
+    def test_one_taped_forward_per_sample_per_epoch(self, monkeypatch):
+        train_module = importlib.import_module("cginvert.drcgnet.train")
+        real_forward = train_module.forward
+        taped = []
+
+        def counting_forward(*args, **kwargs):
+            taped.append(kwargs.get("want_tape", True))
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", counting_forward)
+        model, ds, cfg = toy_setup(n_samples=5)
+        tcfg = TrainConfig(lr=1e-3, epochs=3, batch=2, seed=0)
+        train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+        assert taped == [True] * (tcfg.epochs * len(ds.pairs))
 
     def test_early_stopping_returns_best(self):
         model, ds, cfg = toy_setup(n_samples=6)

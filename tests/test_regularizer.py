@@ -130,6 +130,19 @@ class TestLogSquared:
         vals = [r.value(np.exp(rng.uniform(-8, 8, 5))) for _ in range(200)]
         assert min(vals) >= 0.0
 
+    def test_curvature_bound_matches_grid_oracle(self):
+        # at z = 10 the peak e^{3/2} lies inside (10/3, 30) above both end
+        # values; at the floor both interval ends are clipped to it
+        mu = 0.7
+        r = ScaleRegularizer.log_squared(mu)
+        rng = np.random.default_rng(9)
+        for z in ([10.0], [r.floor], np.exp(rng.uniform(-6.0, 6.0, 5))):
+            z = np.maximum(np.asarray(z), r.floor)
+            t = np.geomspace(np.maximum(z / 3.0, r.floor), 3.0 * z, 200001)
+            oracle = float((2.0 * mu * np.abs(1.0 - np.log(t)) / (t * t)).max())
+            bound = r.curvature_bound(z)
+            assert oracle * (1.0 - 1e-14) <= bound <= oracle * (1.0 + 1e-8), z
+
 
 class TestProx:
     def test_fixed_point_at_one(self):

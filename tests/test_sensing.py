@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cginvert.errors import DataError
+from cginvert.errors import DataError, NumericalError
 from cginvert.imageio import read_pgm, write_pgm
 from cginvert.sensing import (
     SensingModel,
@@ -171,6 +171,16 @@ class TestMeasure:
     def test_snr_must_be_a_number_or_plus_inf(self, snr):
         with pytest.raises(ValueError, match="snr_db"):
             measure(self.model, self.c, snr)
+
+    def test_overflowing_signal_raises(self):
+        with pytest.raises(NumericalError, match="A c"), np.errstate(over="ignore"):
+            measure(self.model, 1e160 * self.c, 60.0)
+
+    def test_overflowing_noise_raises(self):
+        # 10^(-7000/20) underflows to 0, so the noise scale is infinite
+        with pytest.raises(NumericalError, match="not finite"), \
+                np.errstate(divide="ignore"):
+            measure(self.model, self.c, -7000.0)
 
     def test_snr_rescaling_identity(self):
         meas = measure(self.model, self.c, 60.0, seed=5)
