@@ -150,6 +150,8 @@ def build_model(cfg):
     side = cfg.get("sensing.side")
     n = side * side
     scale = cfg.get("sensing.scale")
+    if not 0.0 < abs(scale) < float("inf"):
+        raise ConfigError(f"sensing.scale must be finite and nonzero, got {scale:g}")
     try:
         if kind == "radon":
             base = build_radon(side, cfg.get("sensing.angles"))

@@ -59,6 +59,9 @@ class SolverConfig:
             raise ValueError(f"unknown tikhonov mode {self.tikhonov_mode!r}")
         if self.zstep_method not in ("pgd", "ista"):
             raise ValueError(f"unknown z-step method {self.zstep_method!r}")
+        if not self.stop_tol >= 0.0:
+            raise ValueError(
+                f"stop_tol must be >= 0 (0 turns the stop off), got {self.stop_tol!r}")
 
 
 @dataclass

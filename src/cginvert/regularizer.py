@@ -135,16 +135,31 @@ def _prox_log_squared(v, a, tol=1e-13):
     max(v, 1) + 1].  Since (1 - log t)/t^2 >= -1/(2e^3), with equality at
     t = e^{3/2}, g'(t) = 1 + 2a(1 - log t)/t^2 >= 1 - a/e^3: for a <= e^3
     the objective is convex, g has one root, and safeguarded Newton starts
-    from v clipped into the bracket.  Above e^3 the objective can be bimodal,
-    so a 240-point log-grid scan first picks the global basin.  Newton runs
-    only on coordinates with |g| >= tol, with a bisection fallback whenever a
-    step leaves the bracket.
+    from v clipped into the bracket (v > 0) or from the estimate below
+    (v <= 0).  Above e^3 the objective can be bimodal, so a 240-point
+    log-grid scan first picks the global basin.  Newton runs only on
+    coordinates with |g| >= tol, with a bisection fallback whenever a step
+    leaves the bracket.
+
+    For v <= 0 the root lies in (0, 1), where Newton in t only about doubles
+    t per pass from the bracket end.  There Newton runs in s = log t instead:
+    h(s) = 0.5*(e^s - v)^2 + a*s^2 has h'(s) = t*g(t), increasing and
+    convex in s, since h''(s) = 2t^2 - v*t + 2a > 0 and its derivative is
+    4t^2 - v*t > 0.  So Newton on h' converges from any start, from above
+    after at most one step.  The start is the root of t^2 - v*t = 2a*l,
+    which is t*g(t) = 0 with log t frozen at -l, l = max(1, log(1/a)); from
+    there it takes at most 5 steps for v in [-5, 0] and a in [1e-8, 20].
     """
     v = np.atleast_1d(v)
     hi = np.maximum(v, 1.0) + 1.0          # minimizer satisfies t <= max(v, 1)
     lo = np.full_like(hi, 1e-10)
+    in_log = bool((v <= 0.0).any())       # some coordinates step in log t
     if a <= np.exp(3.0):
-        t, t_lo, t_hi = np.clip(v, lo, hi), lo, hi
+        start = v
+        if in_log:
+            w, al = np.minimum(v, 0.0), a * max(1.0, -math.log(a))
+            start = np.where(v > 0.0, v, 4.0 * al / (np.sqrt(w * w + 8.0 * al) - w))
+        t, t_lo, t_hi = np.clip(start, lo, hi), lo, hi
     else:
         npts = 240
         # per-coordinate log grid from lo to hi
@@ -173,6 +188,10 @@ def _prox_log_squared(v, a, tol=1e-13):
         t_lo = np.where(neg, ta, t_lo)
         t_hi = np.where(neg, t_hi, ta)
         cand = ta - r / (1.0 + 2.0 * a * (1.0 - lga) / (ta * ta))
+        if in_log:
+            neg_v = va <= 0.0
+            tn, vn = ta[neg_v], va[neg_v]
+            cand[neg_v] = tn * np.exp(-tn * r[neg_v] / ((2.0 * tn - vn) * tn + 2.0 * a))
         bad = (cand <= t_lo) | (cand >= t_hi) | ~np.isfinite(cand)
         ta = np.where(bad, 0.5 * (t_lo + t_hi), cand)
         t[act] = ta

@@ -78,7 +78,14 @@ def estimate_au_norm_sq(u, model):
 
 def _fixed_eta(u, model, ls, curvature):
     """ls.eta, else 0.95/L with L = ||A_u||^2 + curvature(), R's share of L
-    (nonzero only for the PGD step, whose gradient includes R)."""
+    (nonzero only for the PGD step, whose gradient includes R).
+
+    ||A_u||^2 is a power-iteration estimate, which can undershoot the true
+    value, and the 0.95 factor is the only margin over it.  A step that
+    raises the cost anyway is caught by the solver's monotonicity guard
+    (exit 4).  On the paper operator (Radon 32x32/15) every such z-step
+    descends.
+    """
     if ls.eta is not None:
         return ls.eta
     lip = estimate_au_norm_sq(u, model) + curvature()

@@ -106,14 +106,17 @@ class SensingModel:
 
     def gram_map(self):
         """Map from pixel weights w to the lower triangle of Psi Diag(w) Psi^T
-        (cached; sparse Psi only).
+        on Psi's live rows, those with a stored entry (cached; sparse Psi only).
 
-        Returns (flat, gram): the column-major flat positions j*m + i, i >= j,
-        of the structural nonzeros of that triangle, and a CSR matrix with
-        gram[e, k] = Psi[i, k] Psi[j, k] for the pair at flat[e], so that the
-        triangle's values are gram @ w.  It depends on Psi alone: the symbolic
-        half of forming the Woodbury system, one O(sum_k nnz(Psi[:, k])^2)
-        pass instead of a sparse-sparse product per call.
+        Returns (live, flat, gram): the live row indices, increasing; the
+        column-major flat positions j*r + i, i >= j, of the structural
+        nonzeros of that triangle among the r = live.size live rows and
+        columns; and a CSR matrix with gram[e, k] = Psi[live[i], k]
+        Psi[live[j], k] for the pair at flat[e], so that the triangle's values
+        are gram @ w.  An empty row's row and column of the product are zero.
+        It depends on Psi alone: the symbolic half of forming the Woodbury
+        system, one O(sum_k nnz(Psi[:, k])^2) pass instead of a sparse-sparse
+        product per call.
         """
         if self._gram_map is None:
             csc = self.psi.tocsc(copy=True)
@@ -126,14 +129,14 @@ class SensingModel:
             first = np.repeat(np.arange(csc.nnz), reps)
             second = (np.arange(first.size) + start[first]
                       - np.repeat(np.cumsum(reps) - reps, reps))
-            rows = csc.indices.astype(np.int64)
-            flat, slot = np.unique(rows[second] * self.m + rows[first],
+            live, rows = np.unique(csc.indices, return_inverse=True)
+            flat, slot = np.unique(rows[second] * live.size + rows[first],
                                    return_inverse=True)
             pixel = np.repeat(np.arange(self.n), counts)[first]
             gram = sp.csr_matrix(
                 (csc.data[first] * csc.data[second], (slot, pixel)),
                 shape=(flat.size, self.n))
-            self._gram_map = (flat, gram)
+            self._gram_map = (live, flat, gram)
         return self._gram_map
 
     def fingerprint_config(self):
@@ -267,7 +270,7 @@ def measure(model, c, snr_db, seed=0):
     clean = model.apply(c)
     sig = np.linalg.norm(clean)
     if not np.isfinite(sig):
-        raise NumericalError(f"||A c|| = {sig!r} is not finite")
+        raise NumericalError(f"||A c|| = {float(sig):g} is not finite")
     if snr_db == np.inf:
         return clean
     if sig == 0.0:
@@ -277,6 +280,6 @@ def measure(model, c, snr_db, seed=0):
     g *= sig / (np.linalg.norm(g) * 10.0 ** (snr_db / 20.0))
     y = clean + g
     if not np.isfinite(y).all():
-        raise NumericalError(f"measurements at {snr_db!r} dB SNR are not finite")
+        raise NumericalError(f"measurements at {float(snr_db):g} dB SNR are not finite")
     return y
 

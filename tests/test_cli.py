@@ -244,12 +244,13 @@ class TestMalformedInput:
          "linesearch eta"),
         ("solve", ["tikhonov.eta=nan"], "NagdConfig.eta"),
         ("train", ["net.u_mode=nagd", "net.nagd_eta=nan"], "NagdConfig.eta"),
+        ("solve", ["solver.stop_tol=nan"], "stop_tol"),
     ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
             "mu-negative", "val_fraction-2", "zstep-eta-nan",
-            "tikhonov-eta-nan", "nagd-eta-nan"])
+            "tikhonov-eta-nan", "nagd-eta-nan", "stop_tol-nan"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
         ds = self.gen(cfg_path, tmp_path)
@@ -282,7 +283,16 @@ class TestMalformedInput:
             "sensing.scale=1e160", "--set", f"data.snr_db={snr}",
             "--out", str(tmp_path / "ds"))
         assert code == 4 and err.startswith("numerical failure: ")
-        assert "||A c||" in err
+        assert "||A c|| = inf is not finite" in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "0"])
+    def test_gen_data_bad_sensing_scale(self, cfg_path, tmp_path, capsys, scale):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            f"sensing.scale={scale}", "--out", str(tmp_path / "ds"))
+        assert code == 2 and err.startswith("config error: ")
+        assert "sensing.scale" in err
         assert not (tmp_path / "ds").exists()
 
     def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):

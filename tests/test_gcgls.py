@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cginvert import gcgls
+from cginvert import data_metrics, gcgls
 from cginvert.covariance import CovarianceParam
 from cginvert.errors import DataError, NonMonotoneCostError, NumericalError
 from cginvert.gcgls import SolverConfig, diagnostics, initial_scale, solve
 from cginvert.regularizer import ScaleRegularizer
 from cginvert.scale_step import LinesearchConfig
-from cginvert.sensing import SensingModel, measure
+from cginvert.sensing import SensingModel, build_radon, measure
 from cginvert.tikhonov import NagdConfig
 
 
@@ -143,6 +143,22 @@ class TestSolve:
                            linesearch=LinesearchConfig(mode="fixed", eta=500.0))
         with pytest.raises(NumericalError):
             solve(model, y, p, ScaleRegularizer.zero(), cfg)
+
+    @pytest.mark.parametrize("method", ["pgd", "ista"])
+    def test_unset_fixed_step_descends_on_the_paper_operator(self, method):
+        # Radon 32x32/15 solves as the radon-* benchmark runs them, with the
+        # 0.95/L step in place of backtracking: the power-iteration estimate
+        # of ||A_u||^2 is a lower bound, so only this margin and the
+        # monotonicity guard stand behind it
+        model = build_radon(32, 15)
+        ds = data_metrics.gen_dataset("synthetic", model, 60.0, 2, 1)
+        cfg = SolverConfig(K=10, J=3, zstep_method=method,
+                           linesearch=LinesearchConfig(mode="fixed"))
+        for y, _ in ds.pairs:
+            rep = solve(model, y, CovarianceParam.scaled_identity(model.n, 1.0),
+                        ScaleRegularizer.log_squared(0.05), cfg)
+            dec = [t.decrease for t in rep.state.trace if t.block == "z"]
+            assert len(dec) == 30 and min(dec) > 0.0
 
     # cost calls: 0 is the initial point, 1..J the z steps, J+1 the u step
     @pytest.mark.parametrize("nan_call, block", [(1, "z step"), (3, "u step")])

@@ -144,6 +144,21 @@ class TestLogSquared:
             assert oracle * (1.0 - 1e-14) <= bound <= oracle * (1.0 + 1e-8), z
 
 
+class CountingNumpy:
+    """numpy whose log records the size of each call: each Newton pass of
+    the prox takes one log of the coordinates it evaluates."""
+
+    def __init__(self):
+        self.logs = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        self.logs.append(np.size(x))
+        return np.log(x)
+
+
 class TestProx:
     def test_fixed_point_at_one(self):
         r = ScaleRegularizer.log_squared(1.0)
@@ -211,23 +226,25 @@ class TestProx:
         assert np.all(out > 0.0)
 
     def test_converged_coordinates_are_not_revisited(self, monkeypatch):
-        # each Newton pass takes one log of the coordinates it evaluates
-        evaluated = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def log(self, x):
-                evaluated.append(np.size(x))
-                return np.log(x)
-
-        monkeypatch.setattr(regularizer, "np", CountingNumpy())
+        counting = CountingNumpy()
+        monkeypatch.setattr(regularizer, "np", counting)
         hard = np.array([-3.0, 0.0, 50.0, 80.0, -0.5])
         v = np.concatenate([np.ones(1000), hard])
         out = ScaleRegularizer.log_squared(1.0).prox(v, 0.05)
         assert np.all(out[:1000] == 1.0)
-        assert sum(evaluated) <= v.size + 100 * hard.size
+        assert sum(counting.logs) <= v.size + 100 * hard.size
+
+    def test_non_positive_v_converges_in_few_passes(self, monkeypatch):
+        # v <= 0 steps in log t from a small-t estimate of the root; from
+        # the 1e-10 bracket end, Newton in t took 26-43 passes here
+        v = np.linspace(-5.0, 0.0, 11)
+        for a in np.geomspace(1e-8, 20.0, 8):
+            counting = CountingNumpy()
+            monkeypatch.setattr(regularizer, "np", counting)
+            out = ScaleRegularizer.log_squared(1.0).prox(v, a)
+            self.assert_global_minimizer(out, v, a)
+            assert np.abs(out - v + 2.0 * a * np.log(out) / out).max() < 1e-13
+            assert len(counting.logs) <= 8, (a, counting.logs)
 
     def test_first_order_condition(self):
         rng = np.random.default_rng(10)

@@ -279,22 +279,37 @@ class TestComposition:
 
 
 def mapped_gram(model, w):
-    """Psi Diag(w) Psi^T as the Woodbury u-update forms it: lower triangle
-    only, at column-major positions, so its transpose is the matrix."""
-    flat, gram = model.gram_map()
-    s = np.zeros(model.m * model.m)
+    """Psi Diag(w) Psi^T on Psi's live rows as the Woodbury u-update forms
+    it: lower triangle only, at column-major positions, so its transpose is
+    the matrix."""
+    live, flat, gram = model.gram_map()
+    r = live.size
+    s = np.zeros(r * r)
     s[flat] = gram @ w
-    return s.reshape(model.m, model.m).T
+    return s.reshape(r, r).T
+
+
+def live_rows(psi):
+    """Rows of a CSR matrix with at least one stored entry."""
+    return np.flatnonzero(np.diff(psi.indptr))
+
+
+# column 1 is empty, column 4 has one nonzero; rows list their columns out
+# of order and row 2 repeats column 0
+IRREGULAR = sp.csr_matrix(
+    ([1.5, -2.0, 0.5, 3.0, 1.0, 0.25, -1.25, 2.0, 0.75, -0.5],
+     [5, 0, 2, 3, 0, 0, 4, 0, 5, 2], [0, 3, 5, 8, 10]), shape=(4, 6))
 
 
 class TestGramMap:
     @staticmethod
     def assert_maps_lower_gram(model, seed):
         w = np.random.default_rng(seed).uniform(0.1, 3.0, model.n)
-        psi = model.psi.toarray()
+        live, flat, _ = model.gram_map()
+        assert np.array_equal(live, live_rows(model.psi))
+        psi = model.psi.toarray()[live]
         expect = np.tril((psi * w[None, :]) @ psi.T)
-        flat, _ = model.gram_map()
-        assert np.all(flat // model.m <= flat % model.m)
+        assert np.all(flat // live.size <= flat % live.size)
         got = mapped_gram(model, w)
         assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
@@ -302,15 +317,30 @@ class TestGramMap:
     def test_radon_lower_triangle_matches_dense_product(self, side, angles):
         self.assert_maps_lower_gram(build_radon(side, angles), side)
 
+    def test_radon_paper_operator_drops_its_empty_detector_rows(self):
+        model = build_radon(32, 15)
+        live, _, _ = model.gram_map()
+        assert (model.m, model.m - live.size) == (690, 78)
+        psi = model.psi.toarray()
+        assert not psi[np.setdiff1d(np.arange(model.m), live)].any()
+
     def test_irregular_csr_matches_dense_product(self):
-        # column 1 is empty, column 4 has one nonzero; rows list their
-        # columns out of order and row 2 repeats column 0
-        indptr = [0, 3, 5, 8, 10]
-        indices = [5, 0, 2, 3, 0, 0, 4, 0, 5, 2]
-        data = [1.5, -2.0, 0.5, 3.0, 1.0, 0.25, -1.25, 2.0, 0.75, -0.5]
-        psi = sp.csr_matrix((data, indices, indptr), shape=(4, 6))
-        assert not psi.has_sorted_indices
-        self.assert_maps_lower_gram(SensingModel(psi), 1)
+        assert not IRREGULAR.has_sorted_indices
+        self.assert_maps_lower_gram(SensingModel(IRREGULAR), 1)
+
+    def test_csr_without_empty_rows_keeps_every_row(self):
+        model = SensingModel(IRREGULAR)
+        assert np.array_equal(model.gram_map()[0], np.arange(model.m))
+
+    def test_empty_and_explicit_zero_rows(self):
+        # rows 1 and 3 store nothing and drop out; row 2 stores one
+        # explicit zero, which counts as an entry and keeps it
+        psi = sp.csr_matrix(([2.0, -1.0, 0.0, 0.5, 1.5],
+                             [0, 2, 1, 2, 3], [0, 2, 2, 3, 3, 5]),
+                            shape=(5, 4))
+        model = SensingModel(psi)
+        assert np.array_equal(model.gram_map()[0], [0, 2, 4])
+        self.assert_maps_lower_gram(model, 2)
 
     def test_second_call_returns_cached_map(self):
         model = build_radon(6, 3)

@@ -271,11 +271,12 @@ class TestInPlaceFactor:
         return model, z, y, CovarianceParam.scaled_identity(model.n, 1.5)
 
     def test_factor_equals_factor_of_full_system(self, radon):
+        # the factor is that of the live-row block of the full system
         model, z, y, p = radon
-        _, (route, (c, lower)) = tikhonov_factored(z, model, y, p)
-        low = mapped_gram(model, z * z * p.diag_values()) + np.eye(model.m)
+        _, (route, (c, lower), live) = tikhonov_factored(z, model, y, p)
+        low = mapped_gram(model, z * z * p.diag_values()) + np.eye(live.size)
         ref, _ = sla.cho_factor(low + np.tril(low, -1).T, lower=True)
-        assert route == "woodbury" and lower
+        assert route == "woodbury" and lower and c.shape == (612, 612)
         assert np.array_equal(np.tril(c), np.tril(ref))
 
     def test_factor_overwrites_the_formed_system(self, radon, monkeypatch):
@@ -304,6 +305,53 @@ class TestInPlaceFactor:
             tracemalloc.stop()
         assert peak < 1.5 * model.m ** 2 * 8
 
+
+
+class TestLiveRows:
+    """On a sparse Psi with empty rows the Woodbury system is solved on the
+    live rows alone, which is exact: an empty row's system row is e_i."""
+
+    @pytest.fixture(scope="class")
+    def radon(self):
+        model = build_radon(32, 15)
+        rng = np.random.default_rng(1)
+        p = CovarianceParam.diagonal(model.n, rng.uniform(0.5, 2.0, model.n))
+        return (model, rng.uniform(0.2, 2.0, model.n),
+                model.apply(rng.uniform(0.0, 1.0, model.n))
+                + 0.1 * rng.standard_normal(model.m), p,
+                rng.standard_normal(model.n))
+
+    @staticmethod
+    def full_system(z, model, p):
+        psi = model.psi.toarray()
+        return np.eye(model.m) + (psi * (z * z * p.diag_values())) @ psi.T
+
+    def test_solution_matches_exact_and_full_system(self, radon):
+        model, z, y, p, _ = radon
+        u = tikhonov_woodbury(z, model, y, p)
+        full = p.diag_values() * z * model.adjoint(
+            np.linalg.solve(self.full_system(z, model, p), y))
+        for expect in (tikhonov_exact(z, model, y, p), full):
+            assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_adjoint_matches_exact_and_full_system(self, radon):
+        model, z, y, p, b = radon
+        _, factor = tikhonov_factored(z, model, y, p)
+        w = tikhonov_adjoint(b, z, model, p, factor)
+        pb = p.apply(b)
+        full = pb - p.apply(z * model.adjoint(np.linalg.solve(
+            self.full_system(z, model, p), model.apply(z * pb))))
+        exact = np.linalg.solve(dense_u_system(z, model, p), b)
+        for expect in (exact, full):
+            assert np.linalg.norm(w - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_nan_measurement_on_an_empty_row_raises(self, radon):
+        model, z, y, p, _ = radon
+        live, _, _ = model.gram_map()
+        y = y.copy()
+        y[np.setdiff1d(np.arange(model.m), live)[0]] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            tikhonov_factored(z, model, y, p)
 
 class TestNonFiniteInput:
     """A non-finite system or right-hand side raises LinAlgError, the error
