@@ -70,6 +70,8 @@ def cmd_gen_data(args):
     cfg = _load_cfg(args)
     if cfg.get("data.samples") < 1:
         raise ConfigError("data.samples must be >= 1")
+    if cfg.get("data.seed") < 0:
+        raise ConfigError("data.seed must be >= 0")
     if not cfg.get("data.snr_db") > -np.inf:
         raise ConfigError("data.snr_db must be a number or inf")
     model = cfgmod.build_model(cfg)
@@ -137,7 +139,9 @@ def cmd_solve(args):
 
 
 def _split_validation(ds, fraction):
-    if fraction <= 0.0 or len(ds) < 2:
+    if fraction < 0.0:
+        raise ConfigError(f"train.val_fraction must be >= 0, got {fraction!r}")
+    if fraction == 0.0 or len(ds) < 2:
         return ds.pairs, None
     # a fraction of 1 or more, inf or NaN leaves nothing to train on
     n_val = max(1, int(round(fraction * len(ds)))) if fraction < 1.0 else len(ds)

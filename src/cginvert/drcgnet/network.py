@@ -35,11 +35,11 @@ def _stack_forward(kernels, x_vec, side):
     """Run the D-layer stack on a vector: mat -> convs -> vec.
 
     ReLU follows every layer except the last (linear output layer).
-    Returns (out_vec, cache) where cache holds each layer's padded input
-    (the xp of conv2d_forward) and nothing else: the ReLU mask of layer d
-    is the positive part of layer d+1's input.
+    Returns (out_vec, cache) where cache holds each layer's padded input,
+    the (L, c) channels-last xp of conv2d_forward, and nothing else: the
+    ReLU mask of layer d is the positive part of layer d+1's input.
     """
-    a = x_vec.reshape(1, side, side)
+    a = x_vec.reshape(side, side, 1)
     cache = []
     last = len(kernels) - 1
     for d, kern in enumerate(kernels):
@@ -51,7 +51,7 @@ def _stack_forward(kernels, x_vec, side):
 
 def _stack_backward(dout_vec, kernels, cache, side):
     """Reverse the stack; returns (dx_vec, [dkern per layer])."""
-    da = dout_vec.reshape(1, side, side)
+    da = dout_vec.reshape(side, side, 1)
     dkerns = [None] * len(kernels)
     last = len(kernels) - 1
     for d in range(last, -1, -1):
@@ -59,7 +59,7 @@ def _stack_backward(dout_vec, kernels, cache, side):
             nxt = interior(cache[d + 1], kernels[d + 1].shape[0], side, side)
             da = da * (nxt > 0.0)
         da, dkerns[d] = conv2d_backward(
-            da, cache[d], kernels[d], (kernels[d].shape[2], side, side))
+            da, cache[d], kernels[d], (side, side, kernels[d].shape[2]))
     return da.reshape(-1), dkerns
 
 

@@ -99,6 +99,10 @@ class TrainConfig:
                              f"{self.beta1!r} and {self.beta2!r}")
         if not 0 < self.eps_adam < math.inf:
             raise ValueError(f"eps_adam must be finite and > 0, got {self.eps_adam!r}")
+        if self.batch < 0:
+            raise ValueError(f"batch must be >= 0 (0: full batch), got {self.batch!r}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
 
 
 def param_shapes(cfg, n):

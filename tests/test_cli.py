@@ -245,12 +245,17 @@ class TestMalformedInput:
         ("solve", ["tikhonov.eta=nan"], "NagdConfig.eta"),
         ("train", ["net.u_mode=nagd", "net.nagd_eta=nan"], "NagdConfig.eta"),
         ("solve", ["solver.stop_tol=nan"], "stop_tol"),
+        ("train", ["train.batch=-1"], "batch must be >= 0"),
+        ("train", ["train.val_fraction=-0.5"], "train.val_fraction must be"),
+        ("train", ["train.patience=-1", "train.val_fraction=0.34"],
+         "patience must be >= 0"),
     ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
             "mu-negative", "val_fraction-2", "zstep-eta-nan",
-            "tikhonov-eta-nan", "nagd-eta-nan", "stop_tol-nan"])
+            "tikhonov-eta-nan", "nagd-eta-nan", "stop_tol-nan", "batch-negative",
+            "val_fraction-negative", "patience-negative"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
         ds = self.gen(cfg_path, tmp_path)
@@ -293,6 +298,15 @@ class TestMalformedInput:
             f"sensing.scale={scale}", "--out", str(tmp_path / "ds"))
         assert code == 2 and err.startswith("config error: ")
         assert "sensing.scale" in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("how", [["--set", "data.seed=-1"], ["--seed", "-1"]])
+    def test_gen_data_negative_seed(self, cfg_path, tmp_path, capsys, how):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, *how,
+            "--out", str(tmp_path / "ds"))
+        assert code == 2 and err.startswith("config error: ")
+        assert "data.seed must be >= 0" in err
         assert not (tmp_path / "ds").exists()
 
     def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):

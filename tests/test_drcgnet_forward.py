@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ CONV_CASES = [(1, 3, 3, 5, 5), (2, 4, 3, 6, 6), (3, 1, 5, 7, 7),
 def conv_case(case, seed):
     cin, cout, k, h, w = case
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal((cin, h, w)),
+    return (rng.standard_normal((h, w, cin)),
             rng.standard_normal((k, k, cin, cout)),
-            rng.standard_normal((cout, h, w)))
+            rng.standard_normal((h, w, cout)))
 
 
 class TestConv:
@@ -45,13 +46,13 @@ class TestConv:
             x, kern, _ = conv_case(case, seed)
             cin, cout, _, h, w = case
             out, _ = conv2d_forward(x, kern)
-            assert out.shape == (cout, h, w)
+            assert out.shape == (h, w, cout)
             for co in range(cout):
                 expect = sum(
-                    correlate2d(x[ci], kern[:, :, ci, co], mode="same",
+                    correlate2d(x[:, :, ci], kern[:, :, ci, co], mode="same",
                                 boundary="fill")
                     for ci in range(cin))
-                assert np.allclose(out[co], expect, atol=1e-12)
+                assert np.allclose(out[:, :, co], expect, atol=1e-12)
 
     @pytest.mark.parametrize("case", CONV_CASES)
     def test_input_gradient_is_adjoint(self, case):
@@ -70,7 +71,7 @@ class TestConv:
         _, xp = conv2d_forward(x, kern)
         _, dkern = conv2d_backward(d, xp, kern, x.shape)
         pad = k // 2
-        xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        xpad = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
         expect = np.zeros((k, k, cin, cout))
         for di in range(k):
             for dj in range(k):
@@ -79,7 +80,7 @@ class TestConv:
                         for i in range(h):
                             for j in range(w):
                                 expect[di, dj, ci, co] += \
-                                    xpad[ci, i + di, j + dj] * d[co, i, j]
+                                    xpad[i + di, j + dj, ci] * d[i, j, co]
         assert np.allclose(dkern, expect, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("case", [(1, 32, 3, 32, 32), (32, 1, 3, 32, 32),
@@ -93,20 +94,45 @@ class TestConv:
         out, xp = conv2d_forward(x, kern)
         dx, dkern = conv2d_backward(d, xp, kern, x.shape)
         pad = k // 2
-        xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        xpad = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
         out_ref = np.zeros(out.shape)
         dxpad = np.zeros(xpad.shape)
         dkern_ref = np.empty(kern.shape)
         for di in range(k):
             for dj in range(k):
-                window = xpad[:, di:di + h, dj:dj + w]
-                out_ref += np.einsum("io,ihw->ohw", kern[di, dj], window)
-                dxpad[:, di:di + h, dj:dj + w] += np.einsum(
-                    "io,ohw->ihw", kern[di, dj], d)
-                dkern_ref[di, dj] = np.einsum("ihw,ohw->io", window, d)
-        dx_ref = dxpad[:, pad:pad + h, pad:pad + w]
+                window = xpad[di:di + h, dj:dj + w]
+                out_ref += np.einsum("io,hwi->hwo", kern[di, dj], window)
+                dxpad[di:di + h, dj:dj + w] += np.einsum(
+                    "io,hwo->hwi", kern[di, dj], d)
+                dkern_ref[di, dj] = np.einsum("hwi,hwo->io", window, d)
+        dx_ref = dxpad[pad:pad + h, pad:pad + w]
         for got, ref in ((out, out_ref), (dx, dx_ref), (dkern, dkern_ref)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_taps_accumulate_in_place(self):
+        # each multi-channel tap adds its product into the accumulator inside
+        # BLAS, so the peak heap of a pass is the arrays it fills plus less
+        # than one (c_out, span) per-tap product
+        cin = cout = 32
+        k, h, w = 3, 32, 32
+        x, kern, d = conv_case((cin, cout, k, h, w), 4)
+        span = h * (w + 2 * (k // 2))
+        maps = span * cout * 8      # the forward output, the padded dout
+        slack = maps // 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, xp = conv2d_forward(x, kern)
+            fwd_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            conv2d_backward(d, xp, kern, x.shape)
+            bwd_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fwd_peak < xp.nbytes + maps + slack
+        # the input gradient has the padded buffer's shape
+        assert bwd_peak < maps + xp.nbytes + kern.nbytes + slack
 
 
 class TestSubnet:
