@@ -1,23 +1,35 @@
-"""Zero-padded same-size 2-D convolutions (correlation convention), one
-in-place GEMM per kernel tap, and the matching reverse-mode backward.
+"""Zero-padded same-size 2-D convolutions (correlation convention) on padded
+channels-last buffers, one in-place GEMM per kernel tap, and the matching
+reverse-mode backward.
 
-Kernel tensors have shape (k, k, c_in, c_out); feature maps are
-channels-last, (h, w, channels).  No bias terms anywhere.  The padded input
-xp, the only thing kept for backward, is x zero-padded by pad = k // 2 on
-every side plus one zero row at the bottom, pixels flattened to the rows of
-a C-ordered ((h+2pad+1)*wp, c_in) array with wp = w + 2pad.  Tap (di, dj)
-reads the contiguous row block of length span = h*wp starting at
-di*wp + dj; the extra row keeps the last block in bounds, and the last 2pad
-pixels of each output row are dropped.
+Kernel tensors have shape (k, k, c_in, c_out); no bias terms anywhere.  An
+(h, w) map of c channels lives in a padded buffer: the map zero-padded by
+pad = k // 2 on every side plus one zero row at the bottom, pixels flattened
+to the rows of a C-ordered ((h+2pad+1)*wp, c) array with wp = w + 2pad.
+Tap (di, dj) reads the contiguous row block of length span = h*wp starting
+at di*wp + dj; the extra row keeps the last block in bounds.
+
+A layer's output, in that same (span, c_out) row order, is the body of the
+next layer's padded buffer: the row block of length span starting at
+pad*wp + pad.  Row i of the body holds the w pixels of map row i and then
+2pad wrap-around entries, which are pad ring of the buffer (the right pad of
+row i and the left pad of row i+1; the last row's reach into the bottom
+ring).  So each layer's GEMMs accumulate straight into the buffer the next
+layer reads, ReLU runs in place there, and zeroing the wrap entries restores
+the ring: a stack makes no pad, unpad or ReLU copies.  In backward, the body
+of the input gradient is the gradient of the layer below's output in the
+same order; masking it in place by body(xp) > 0, the layer's own input,
+applies the ReLU and zeroes the wrap entries at once, since the ring of xp
+is 0.  Every layer of a stack has the same k, so one layout serves them all.
 
 Every multi-channel tap adds its product straight into the accumulator:
 BLAS dgemm with beta=1 and overwrite_c, so no (c_out, span) temporary is
-made and no second pass adds it in.  The accumulators (the (span, c_out)
-output, the (L, c_in) input gradient) are C-ordered, so their transposes,
-and every column slice of those, are the Fortran-contiguous arrays dgemm
-writes in place.  They must stay so: f2py silently copies an operand that
-is not Fortran-contiguous, and the sum then lands in the copy.  The tap
-windows and kernel slices are passed transposed for the same reason.
+made and no second pass adds it in.  The accumulators (the body of the
+output buffer, the (L, c_in) input gradient) are C-ordered, so their
+transposes, and every column slice of those, are the Fortran-contiguous
+arrays dgemm writes in place.  They must stay so: f2py silently copies an
+operand that is not Fortran-contiguous, and the sum then lands in the copy.
+The tap windows and kernel slices are passed transposed for the same reason.
 
 A single-channel end (the forward of a 1-channel input, the backward of a
 1-channel output) stacks the k*k shifted windows of its one channel and
@@ -30,14 +42,39 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-__all__ = ["conv2d_forward", "conv2d_backward", "glorot_uniform", "interior"]
+__all__ = ["conv2d_forward", "conv2d_backward", "glorot_uniform", "padded",
+           "interior", "body"]
+
+
+def _layout(k, h, w):
+    """(pad, wp, span) of the padded buffer of an (h, w) map."""
+    pad = k // 2
+    wp = w + 2 * pad
+    return pad, wp, h * wp
+
+
+def padded(x, k):
+    """A new padded buffer holding the (h, w, c) map x, zero elsewhere."""
+    h, w, c = x.shape
+    pad, wp, _ = _layout(k, h, w)
+    xp = np.zeros(((h + 2 * pad + 1) * wp, c))
+    interior(xp, k, h, w)[...] = x
+    return xp
 
 
 def interior(xp, k, h, w):
-    """The (h, w, c) view of the unpadded map inside a padded buffer."""
-    pad = k // 2
-    return xp.reshape(h + 2 * pad + 1, w + 2 * pad, xp.shape[1])[
+    """The (h, w, c) view of the map inside a padded buffer."""
+    pad, wp, _ = _layout(k, h, w)
+    return xp.reshape(h + 2 * pad + 1, wp, xp.shape[1])[
         pad:pad + h, pad:pad + w]
+
+
+def body(xp, k, h, w):
+    """The C-contiguous (span, c) view a layer's output fills: the map's rows,
+    each followed by its 2pad wrap-around entries of the pad ring."""
+    pad, wp, span = _layout(k, h, w)
+    start = pad * wp + pad
+    return xp[start:start + span]
 
 
 def _taps(k, wp):
@@ -45,47 +82,46 @@ def _taps(k, wp):
     return (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
 
 
-def conv2d_forward(x, kern):
-    """Correlate x (h, w, c_in) with kern (k, k, c_in, c_out).
+def conv2d_forward(xp, kern, h, w, relu):
+    """Correlate the (h, w) map in padded buffer xp with kern (k, k, c_in,
+    c_out).
 
-    Returns (out, xp) where out is (h, w, c_out) and xp is the padded,
-    pixel-flattened input that the backward pass reads its windows from.
+    Returns (yp, xp): yp is a new padded buffer holding the (h, w, c_out)
+    result, after ReLU if relu, and is the next layer's input; xp is passed
+    back unchanged as the buffer conv2d_backward reads its windows from.
     """
-    h, w, cin = x.shape
-    k = kern.shape[0]
-    pad = k // 2
-    wp = w + 2 * pad
-    span = h * wp
-    xp = np.zeros(((h + 2 * pad + 1) * wp, cin))
-    interior(xp, k, h, w)[...] = x
+    k, _, cin, cout = kern.shape
+    _, wp, span = _layout(k, h, w)
+    yp = np.zeros((xp.shape[0], cout))
+    out = body(yp, k, h, w)
     taps = _taps(k, wp)
-    flat_kern = kern.reshape(k * k, cin, -1)
+    flat_kern = kern.reshape(k * k, cin, cout)
     if cin == 1:
         cols = np.empty((k * k, span))
         for t, o in enumerate(taps):
             cols[t] = xp[o:o + span, 0]
-        out = cols.T @ flat_kern[:, 0]
+        np.matmul(cols.T, flat_kern[:, 0], out=out)
     else:
-        out = np.zeros((span, kern.shape[3]))
         for t, o in enumerate(taps):
             dgemm(1.0, flat_kern[t].T, xp[o:o + span].T, beta=1.0, c=out.T,
                   overwrite_c=1)
-    return out.reshape(h, wp, -1)[:, :w], xp
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    out.reshape(h, wp, cout)[:, w:] = 0.0
+    return yp, xp
 
 
-def conv2d_backward(dout, xp, kern, x_shape):
-    """Gradients of conv2d_forward w.r.t. its input and kernel.
+def conv2d_backward(d, xp, kern, h, w):
+    """Gradients of conv2d_forward w.r.t. its input buffer and kernel.
 
-    dout is (h, w, c_out) and xp the padded input conv2d_forward returned;
-    returns (dx, dkern) with the shapes of x and kern.
+    d is the (span, c_out) gradient of the output in body order, zero at the
+    wrap entries; xp is the buffer conv2d_forward read.  Returns (dxp, dkern):
+    dxp, with xp's shape, is the gradient w.r.t. every entry of xp (its body
+    is the gradient of the layer below's output, its interior that of the
+    map), and dkern has kern's shape.
     """
-    h, w, _ = x_shape
     k = kern.shape[0]
-    wp = w + 2 * (k // 2)
-    span = h * wp
-    d = np.zeros((h, wp, dout.shape[2]))
-    d[:, :w] = dout
-    d = d.reshape(span, -1)
+    _, wp, span = _layout(k, h, w)
     taps = _taps(k, wp)
     flat_kern = kern.reshape(k * k, kern.shape[2], -1)
     dkern = np.empty(flat_kern.shape)
@@ -98,10 +134,10 @@ def conv2d_backward(dout, xp, kern, x_shape):
     else:
         dxp = np.zeros(xp.shape)
         for t, o in enumerate(taps):
-            dkern[t] = xp[o:o + span].T @ d
+            np.matmul(xp[o:o + span].T, d, out=dkern[t])
             dgemm(1.0, flat_kern[t].T, d.T, beta=1.0, c=dxp.T[:, o:o + span],
                   trans_a=1, overwrite_c=1)
-    return interior(dxp, k, h, w), dkern.reshape(kern.shape)
+    return dxp, dkern.reshape(kern.shape)
 
 
 def glorot_uniform(rng, k, cin, cout):

@@ -24,7 +24,7 @@ from ..tikhonov import (
 # Unused here, but perfbench/tracing.py wraps these names in this module and
 # fails without them; drop this line once its TARGETS stop listing them.
 from ..tikhonov import _tikhonov_direct_with_factor, _tikhonov_woodbury_with_factor, sla  # noqa: E501,F401
-from .conv import conv2d_backward, conv2d_forward, interior
+from .conv import body, conv2d_backward, conv2d_forward, interior, padded
 
 __all__ = ["subnet_forward", "intermediate_map", "forward", "backward", "Tape"]
 
@@ -32,35 +32,35 @@ __all__ = ["subnet_forward", "intermediate_map", "forward", "backward", "Tape"]
 # -- convolution stack -------------------------------------------------------
 
 def _stack_forward(kernels, x_vec, side):
-    """Run the D-layer stack on a vector: mat -> convs -> vec.
+    """Run the D-layer stack on a vector: padded buffer -> convs -> vec.
 
     ReLU follows every layer except the last (linear output layer).
-    Returns (out_vec, cache) where cache holds each layer's padded input,
-    the (L, c) channels-last xp of conv2d_forward, and nothing else: the
-    ReLU mask of layer d is the positive part of layer d+1's input.
+    Returns (out_vec, cache) where cache holds each layer's padded input
+    buffer and nothing else: the ReLU mask of layer d is the positive part
+    of layer d+1's input.
     """
-    a = x_vec.reshape(side, side, 1)
+    k = kernels[0].shape[0]
+    xp = padded(x_vec.reshape(side, side, 1), k)
     cache = []
     last = len(kernels) - 1
     for d, kern in enumerate(kernels):
-        out, xp = conv2d_forward(a, kern)
-        cache.append(xp)
-        a = out if d == last else np.maximum(out, 0.0)
-    return a.reshape(-1), cache
+        xp, held = conv2d_forward(xp, kern, side, side, relu=d != last)
+        cache.append(held)
+    return interior(xp, k, side, side).reshape(-1), cache
 
 
 def _stack_backward(dout_vec, kernels, cache, side):
     """Reverse the stack; returns (dx_vec, [dkern per layer])."""
-    da = dout_vec.reshape(side, side, 1)
+    k = kernels[0].shape[0]
+    d = body(padded(dout_vec.reshape(side, side, 1), k), k, side, side)
     dkerns = [None] * len(kernels)
-    last = len(kernels) - 1
-    for d in range(last, -1, -1):
-        if d != last:
-            nxt = interior(cache[d + 1], kernels[d + 1].shape[0], side, side)
-            da = da * (nxt > 0.0)
-        da, dkerns[d] = conv2d_backward(
-            da, cache[d], kernels[d], (side, side, kernels[d].shape[2]))
-    return da.reshape(-1), dkerns
+    for layer in range(len(kernels) - 1, -1, -1):
+        dxp, dkerns[layer] = conv2d_backward(d, cache[layer], kernels[layer],
+                                             side, side)
+        if layer:
+            d = body(dxp, k, side, side)
+            d *= body(cache[layer], k, side, side) > 0.0
+    return interior(dxp, k, side, side).reshape(-1), dkerns
 
 
 def subnet_forward(kernels, x_vec, side, variant):
@@ -154,29 +154,34 @@ def _tikh_forward(z, u_prev, model, y, p, cfg):
     return u, {"mode": "exact", "z": z, "u": u, "factor": factor}
 
 
-def _z_term(a, b, z, model, ay, p, scale, grads):
-    """z-gradient of <a, A_z^T y - (A_z^T A_z + P^{-1}) b> with b held fixed:
-    a*A^T y - a*A^T A(z*b) - b*A^T A(z*a).  The matching covariance term,
-    scale times the P-derivative of the same pairing, is added to grads."""
+def _cov_term(a, b, p, scale, grads):
+    """Add scale times the P-derivative of <a, A_z^T y - (A_z^T A_z + P^{-1}) b>,
+    b held fixed, to grads."""
     for key, g in p.outer_grad(p.solve(a), p.solve(b), scale).items():
         grads[key] += g
+
+
+def _z_term(a, b, z, model, ay):
+    """z-gradient of the same pairing: a*A^T y - a*A^T A(z*b) - b*A^T A(z*a)."""
     return a * ay - a * model.adjoint(model.apply(z * b)) \
         - b * model.adjoint(model.apply(z * a))
 
 
-def _tikh_backward(ubar, rec, model, y, p, grads):
-    """Backward through a Tikhonov block.
+def _tikh_backward(ubar, rec, model, ay, p, grads):
+    """Backward through a Tikhonov block; ay is A^T y.
 
     Returns (zbar_contribution, ubar_prev) where ubar_prev is nonzero only
-    for the accelerated mode (gradient w.r.t. the warm start).
-    Covariance gradients are added to grads.
+    for the accelerated mode (gradient w.r.t. the warm start).  The k = 0
+    block's z is a constant of the input, so there zbar_contribution is None
+    and is not computed.  Covariance gradients are added to grads.
     """
     z = rec["z"]
-    ay = model.adjoint(y)
+    want_z = rec["k"] > 0
 
     if rec["mode"] == "exact":
         w = tikhonov_adjoint(ubar, z, model, p, rec["factor"])
-        zbar = _z_term(w, rec["u"], z, model, ay, p, 1.0, grads)
+        _cov_term(w, rec["u"], p, 1.0, grads)
+        zbar = _z_term(w, rec["u"], z, model, ay) if want_z else None
         return zbar, np.zeros_like(ubar)
 
     # accelerated mode: reverse through the momentum recursion
@@ -186,7 +191,7 @@ def _tikh_backward(ubar, rec, model, y, p, grads):
     rbars = [np.zeros_like(ubar) for _ in range(steps)]
     ubars = [np.zeros_like(ubar) for _ in range(steps + 1)]
     ubars[steps] = ubar.copy()
-    zbar = np.zeros_like(z)
+    zbar = np.zeros_like(z) if want_z else None
     for j in range(steps - 1, -1, -1):
         beta = nagd_momentum(j)
         ub = ubars[j + 1]
@@ -199,7 +204,9 @@ def _tikh_backward(ubar, rec, model, y, p, grads):
         uj = trace[j]
         # through r(u) = u - eta*(A_z^T(A_z u - y) + P^{-1} u) at u_j
         ubars[j] += rb - eta * (z * model.adjoint(model.apply(z * rb)) + p.solve(rb))
-        zbar += eta * _z_term(rb, uj, z, model, ay, p, eta, grads)
+        _cov_term(rb, uj, p, eta, grads)
+        if want_z:
+            zbar += eta * _z_term(rb, uj, z, model, ay)
     return zbar, ubars[0]
 
 
@@ -264,13 +271,17 @@ def forward(y, model, params, want_tape=True):
     return (out, tape) if want_tape else (out, None)
 
 
-def backward(tape, grad_out, params):
+def backward(tape, grad_out, params, grads=None):
     """Exact reverse-mode gradients of <grad_out, forward output> w.r.t.
-    every learnable parameter.  Returns a dict matching params.values."""
-    cfg = params.cfg
+    every learnable parameter, added into grads (a dict matching
+    params.values; fresh zeros when None), which is returned.  Each
+    parameter array receives its terms in a fixed order, so a batch sum
+    built by passing one dict through its samples' calls is deterministic."""
     model, y = tape.model, tape.y
     p = params.cov()
-    grads = params.zero_grads()
+    if grads is None:
+        grads = params.zero_grads()
+    ay = model.adjoint(y)
 
     recs = tape.records
     i = len(recs) - 1
@@ -296,13 +307,9 @@ def backward(tape, grad_out, params):
     while i >= 0:
         kind, rec = recs[i]
         if kind == "tikhonov":
-            zc, ubar_prev = _tikh_backward(ubar, rec, model, y, p, grads)
-            ubar = ubar_prev
-            if rec["k"] == 0:
-                # z0 is a constant of the input; its gradient stops here
-                i -= 1
-                continue
-            zbar = zbar + zc
+            zc, ubar = _tikh_backward(ubar, rec, model, ay, p, grads)
+            if zc is not None:
+                zbar = zbar + zc
         elif kind == "gmap":
             kerns = params.kernels(rec["k"], rec["j"])
             zbar, ub, dbar, dkerns = _gmap_backward(zbar, rec, model, kerns)
@@ -310,8 +317,6 @@ def backward(tape, grad_out, params):
             grads["delta"][rec["k"] - 1, rec["j"] - 1] += dbar
             for d, dk in enumerate(dkerns, start=1):
                 grads[f"w.{rec['k']}.{rec['j']}.{d}"] += dk
-        elif kind == "init":
-            pass
         i -= 1
 
     return grads

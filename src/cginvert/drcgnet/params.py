@@ -46,10 +46,14 @@ class NetConfig:
     def __post_init__(self):
         if self.K < 1 or self.J < 1:
             raise ValueError("K and J must be >= 1")
-        if self.kernel % 2 != 1:
-            raise ValueError("kernel size must be odd")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise ValueError(f"kernel size must be odd and >= 1, got {self.kernel!r}")
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth!r}")
         if len(self.channels) != self.depth:
             raise ValueError("channels must list one width per layer")
+        if min(self.channels) < 1:
+            raise ValueError(f"channel widths must be >= 1, got {list(self.channels)!r}")
         if self.channels[-1] != 1:
             raise ValueError("the final layer must have one output channel")
         if self.variant not in ("pgd", "ista"):

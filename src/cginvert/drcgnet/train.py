@@ -1,7 +1,8 @@
 """Deterministic training of the unrolled network on mean absolute error.
 
-The batch gradient is the mean over samples accumulated in fixed order;
-no shuffling, so a fixed seed reproduces the loss history bit for bit.
+The batch gradient is the mean over samples, each sample's backward adding
+its terms straight into the one batch dict in fixed sample order; no
+shuffling, so a fixed seed reproduces the loss history bit for bit.
 """
 
 from __future__ import annotations
@@ -103,11 +104,9 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                     c_hat, tape = forward(y, model, params)
                     diff = c_hat - c
                     loss += np.abs(diff).sum() * inv
-                    g = backward(tape, np.sign(diff) * inv, params)
+                    backward(tape, np.sign(diff) * inv, params, grads)
                     # free this sample's tape before the next forward builds one
                     del tape
-                    for key in grads:
-                        grads[key] += g[key]
             except np.linalg.LinAlgError as exc:
                 # diverged parameters break the inner factorization before
                 # the loss itself turns non-finite

@@ -249,13 +249,17 @@ class TestMalformedInput:
         ("train", ["train.val_fraction=-0.5"], "train.val_fraction must be"),
         ("train", ["train.patience=-1", "train.val_fraction=0.34"],
          "patience must be >= 0"),
+        ("train", ["net.channels=0,1"], "channel widths must be >= 1"),
+        ("train", ["net.kernel=-1"], "kernel size must be odd and >= 1"),
+        ("train", ["net.depth=0", "net.channels="], "depth must be >= 1"),
     ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
             "mu-negative", "val_fraction-2", "zstep-eta-nan",
             "tikhonov-eta-nan", "nagd-eta-nan", "stop_tol-nan", "batch-negative",
-            "val_fraction-negative", "patience-negative"])
+            "val_fraction-negative", "patience-negative", "channels-zero",
+            "kernel-negative", "depth-zero"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
         ds = self.gen(cfg_path, tmp_path)

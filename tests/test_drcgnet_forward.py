@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.signal import correlate2d
+from scipy.signal import convolve2d, correlate2d
 
 from cginvert.covariance import CovarianceParam
 from cginvert.drcgnet import (
@@ -16,6 +16,8 @@ from cginvert.drcgnet import (
     param_count,
     subnet_forward,
 )
+from cginvert.drcgnet.conv import body, interior, padded
+from cginvert.drcgnet.network import _stack_backward, _stack_forward
 from cginvert.gcgls import initial_scale
 from cginvert.regularizer import grad_z_datafit
 from cginvert.sensing import SensingModel, measure
@@ -40,12 +42,29 @@ def conv_case(case, seed):
             rng.standard_normal((h, w, cout)))
 
 
+def conv_fwd(x, kern):
+    """One linear layer on the (h, w, c_in) map x: (output map, its xp)."""
+    h, w, _ = x.shape
+    k = kern.shape[0]
+    yp, xp = conv2d_forward(padded(x, k), kern, h, w, relu=False)
+    return interior(yp, k, h, w), xp
+
+
+def conv_bwd(d, xp, kern, x_shape):
+    """Backward of conv_fwd for the (h, w, c_out) output gradient d:
+    (input map gradient, kernel gradient)."""
+    h, w, _ = x_shape
+    k = kern.shape[0]
+    dxp, dkern = conv2d_backward(body(padded(d, k), k, h, w), xp, kern, h, w)
+    return interior(dxp, k, h, w), dkern
+
+
 class TestConv:
     def test_matches_scipy_correlate(self):
         for seed, case in enumerate(CONV_CASES):
             x, kern, _ = conv_case(case, seed)
             cin, cout, _, h, w = case
-            out, _ = conv2d_forward(x, kern)
+            out, _ = conv_fwd(x, kern)
             assert out.shape == (h, w, cout)
             for co in range(cout):
                 expect = sum(
@@ -58,8 +77,8 @@ class TestConv:
     def test_input_gradient_is_adjoint(self, case):
         # <conv(x), d> = <x, dx>: the backward is the forward's transpose
         x, kern, d = conv_case(case, 1)
-        out, xp = conv2d_forward(x, kern)
-        dx, _ = conv2d_backward(d, xp, kern, x.shape)
+        out, xp = conv_fwd(x, kern)
+        dx, _ = conv_bwd(d, xp, kern, x.shape)
         assert dx.shape == x.shape
         lhs, rhs = float(np.vdot(out, d)), float(np.vdot(x, dx))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -68,8 +87,8 @@ class TestConv:
     def test_kernel_gradient_matches_loop(self, case):
         cin, cout, k, h, w = case
         x, kern, d = conv_case(case, 2)
-        _, xp = conv2d_forward(x, kern)
-        _, dkern = conv2d_backward(d, xp, kern, x.shape)
+        _, xp = conv_fwd(x, kern)
+        _, dkern = conv_bwd(d, xp, kern, x.shape)
         pad = k // 2
         xpad = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
         expect = np.zeros((k, k, cin, cout))
@@ -91,8 +110,8 @@ class TestConv:
         # GEMM over the stacked tap slices instead of k*k rank-1 products
         cin, cout, k, h, w = case
         x, kern, d = conv_case(case, 3)
-        out, xp = conv2d_forward(x, kern)
-        dx, dkern = conv2d_backward(d, xp, kern, x.shape)
+        out, xp = conv_fwd(x, kern)
+        dx, dkern = conv_bwd(d, xp, kern, x.shape)
         pad = k // 2
         xpad = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
         out_ref = np.zeros(out.shape)
@@ -111,28 +130,102 @@ class TestConv:
 
     def test_taps_accumulate_in_place(self):
         # each multi-channel tap adds its product into the accumulator inside
-        # BLAS, so the peak heap of a pass is the arrays it fills plus less
-        # than one (c_out, span) per-tap product
+        # BLAS, and the layers work on padded buffers, so the peak heap of a
+        # pass is the arrays it returns plus less than one (c_out, span)
+        # per-tap product: no padded copy, no separate output map
         cin = cout = 32
         k, h, w = 3, 32, 32
         x, kern, d = conv_case((cin, cout, k, h, w), 4)
-        span = h * (w + 2 * (k // 2))
-        maps = span * cout * 8      # the forward output, the padded dout
-        slack = maps // 2
+        xp = padded(x, k)
+        d = body(padded(d, k), k, h, w)
+        slack = d.nbytes // 2
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, xp = conv2d_forward(x, kern)
+            yp, _ = conv2d_forward(xp, kern, h, w, relu=True)
             fwd_peak = tracemalloc.get_traced_memory()[1] - base
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            conv2d_backward(d, xp, kern, x.shape)
+            dxp, dkern = conv2d_backward(d, xp, kern, h, w)
             bwd_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert fwd_peak < xp.nbytes + maps + slack
-        # the input gradient has the padded buffer's shape
-        assert bwd_peak < maps + xp.nbytes + kern.nbytes + slack
+        assert fwd_peak < yp.nbytes + slack
+        assert bwd_peak < dxp.nbytes + dkern.nbytes + slack
+
+
+def exact_stack_reference(x, kernels, dout):
+    """Layer input maps (and the output), layer input gradients and kernel
+    gradients of a conv stack (ReLU after every layer but the last) on
+    integer maps, in int64 arithmetic: per-layer correlate2d on a freshly
+    zero-padded map, ReLU as a new array, and the backward by the
+    transposed correlations."""
+    maps = [x]                      # the input map of every layer
+    last = len(kernels) - 1
+    for d, kern in enumerate(kernels):
+        a = maps[-1]
+        z = np.stack([sum(correlate2d(a[:, :, ci], kern[:, :, ci, co],
+                                      mode="same")
+                          for ci in range(kern.shape[2]))
+                      for co in range(kern.shape[3])], axis=2)
+        maps.append(z if d == last else np.maximum(z, 0))
+    g = dout
+    grads = [None] * len(kernels)   # the gradient of every layer's input map
+    dkerns = [None] * len(kernels)
+    for d in range(last, -1, -1):
+        kern = kernels[d]
+        pad = kern.shape[0] // 2
+        xpad = np.pad(maps[d], ((pad, pad), (pad, pad), (0, 0)))
+        dkerns[d] = np.stack([np.stack([correlate2d(xpad[:, :, ci], g[:, :, co],
+                                                    mode="valid")
+                                        for co in range(kern.shape[3])], axis=2)
+                              for ci in range(kern.shape[2])], axis=2)
+        g = np.stack([sum(convolve2d(g[:, :, co], kern[:, :, ci, co], mode="same")
+                          for co in range(kern.shape[3]))
+                      for ci in range(kern.shape[2])], axis=2)
+        if d:
+            g = g * (maps[d] > 0)
+        grads[d] = g
+    return maps, grads, dkerns
+
+
+class TestStack:
+    """The stack writes each layer's output into the padded buffer the next
+    layer reads, ReLU in place; the backward masks the input gradient's body
+    in place.  Integer-valued inputs and kernels keep every sum exact, so the
+    comparison is bit for bit whatever the summation order."""
+
+    @pytest.mark.parametrize("channels,side", [((4, 4, 1), 7),
+                                               ((32,) * 7 + (1,), 10)])
+    def test_matches_exact_reference_and_keeps_rings_zero(self, channels, side):
+        k = 3
+        rng = np.random.default_rng(len(channels))
+        widths = (1,) + channels
+        kernels = [rng.choice([-1] + [0] * 8 + [1], size=(k, k, cin, cout))
+                   for cin, cout in zip(widths, widths[1:])]
+        x = rng.integers(-3, 4, size=(side, side, 1))
+        dout = rng.integers(-3, 4, size=(side, side, 1))
+        maps, grads, dkerns_ref = exact_stack_reference(x, kernels, dout)
+        # every float sum has at most `terms` terms, each a map or gradient
+        # entry times a kernel entry in {-1, 0, 1}, or a map entry times a
+        # gradient entry: all partial sums are integers below 2**53
+        big = max(np.abs(a).max() for a in maps + grads + [dout])
+        terms = max(k * k * max(widths), side * side)
+        assert terms * big * big < 2 ** 53
+
+        fk = [kern.astype(np.float64) for kern in kernels]
+        out, cache = _stack_forward(fk, x.reshape(-1).astype(np.float64), side)
+        dx, dkerns = _stack_backward(dout.reshape(-1).astype(np.float64), fk,
+                                     cache, side)
+        assert np.array_equal(out, maps[-1].reshape(-1))
+        assert np.array_equal(dx, grads[0].reshape(-1))
+        for got, ref in zip(dkerns, dkerns_ref):
+            assert np.array_equal(got, ref)
+        for xp, a in zip(cache, maps):
+            assert np.array_equal(interior(xp, k, side, side), a)
+            ring = xp.copy()
+            interior(ring, k, side, side)[...] = 0.0
+            assert not ring.any()
 
 
 class TestSubnet:
