@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .data_metrics import gen_dataset, load_dataset, psnr, save_dataset, ssim
-from .drcgnet import forward, load_checkpoint, param_count, save_checkpoint, train
+from .drcgnet import forward, load_checkpoint, mae, param_count, save_checkpoint, train
 from .errors import CgInvertError, ConfigError, DataError, NumericalError
 from .gcgls import diagnostics, solve
 from .imageio import write_pgm
@@ -191,6 +191,9 @@ def cmd_eval(args):
                       if manifest["net"].get(k) != v]
         raise ConfigError(
             f"checkpoint network config does not match: {', '.join(mismatched)}")
+    if params.n != model.n:
+        raise ConfigError(f"checkpoint is for signals of size n={params.n}, "
+                          f"the operator has n={model.n}")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for i, (y, c_true) in enumerate(ds.pairs):
@@ -203,7 +206,7 @@ def cmd_eval(args):
             "id": i,
             "psnr": psnr(s_hat, s_true),
             "ssim": ssim(s_hat, s_true),
-            "mae": float(np.abs(c_hat - c_true).sum()) / model.n,
+            "mae": mae(c_hat, c_true),
         })
     with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
         fh.write("id,psnr,ssim,mae\n")

@@ -1,7 +1,7 @@
 """Unrolled trainable network mirroring the iterative block solver."""
 
 from .conv import conv2d_backward, conv2d_forward, glorot_uniform
-from .network import Tape, backward, forward, intermediate_map, subnet_forward
+from .network import Tape, backward, forward
 from .params import (
     NetConfig,
     NetParams,
@@ -26,11 +26,9 @@ __all__ = [
     "forward",
     "glorot_uniform",
     "init_params",
-    "intermediate_map",
     "load_checkpoint",
     "mae",
     "param_count",
     "save_checkpoint",
-    "subnet_forward",
     "train",
 ]

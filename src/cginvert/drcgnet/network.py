@@ -4,9 +4,10 @@ The forward pass mirrors the iterative block solver exactly: a clamped
 adjoint initialization of the scales, an initial Tikhonov update, K rounds
 of J learnable scale updates followed by a Tikhonov update, the Hadamard
 product, and an optional refinement step on the full signal.  Every block
-records what the hand-written backward pass needs; gradients through the
-exact Tikhonov solve use the implicit relation of the linear system with
-the forward factorization reused.
+records what the hand-written backward pass needs, and the backward walks the
+same block loop in reverse; gradients through the exact Tikhonov solve use
+the implicit relation of the linear system with the forward factorization
+reused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..tikhonov import (
 from ..tikhonov import _tikhonov_direct_with_factor, _tikhonov_woodbury_with_factor, sla  # noqa: E501,F401
 from .conv import body, conv2d_backward, conv2d_forward, interior, padded
 
-__all__ = ["subnet_forward", "intermediate_map", "forward", "backward", "Tape"]
+__all__ = ["forward", "backward", "Tape"]
 
 
 # -- convolution stack -------------------------------------------------------
@@ -61,16 +62,6 @@ def _stack_backward(dout_vec, kernels, cache, side):
             d = body(dxp, k, side, side)
             d *= body(cache[layer], k, side, side) > 0.0
     return interior(dxp, k, side, side).reshape(-1), dkerns
-
-
-def subnet_forward(kernels, x_vec, side, variant):
-    """The learnable correction network applied to a length-n vector.
-
-    The "pgd" variant returns the conv-stack output; the "ista" variant adds
-    a skip connection x + stack(x).
-    """
-    out, _ = _stack_forward(kernels, np.asarray(x_vec, dtype=np.float64), side)
-    return x_vec + out if variant == "ista" else out
 
 
 # -- one learnable scale update ----------------------------------------------
@@ -134,14 +125,6 @@ def _gmap_backward(zbar_out, rec, model, kernels):
     return zbar, ubar, delta_bar, dkerns
 
 
-def intermediate_map(z, u, model, y, delta, gamma_max, kernels, variant):
-    """Public single scale update (forward values only)."""
-    side = int(np.sqrt(z.size))
-    z_out, _ = _gmap_forward(z, u, model, y, delta, gamma_max, kernels,
-                             variant, side)
-    return z_out
-
-
 # -- Tikhonov blocks -----------------------------------------------------------
 
 def _tikh_forward(z, u_prev, model, y, p, cfg):
@@ -149,9 +132,9 @@ def _tikh_forward(z, u_prev, model, y, p, cfg):
         u, trace, eta = tikhonov_nagd(
             u_prev, z, model, y, p,
             NagdConfig(steps=cfg.nagd_steps, eta=cfg.nagd_eta), want_trace=True)
-        return u, {"mode": "nagd", "z": z, "u": u, "trace": trace, "eta": eta}
+        return u, {"z": z, "u": u, "trace": trace, "eta": eta}
     u, factor = tikhonov_factored(z, model, y, p)
-    return u, {"mode": "exact", "z": z, "u": u, "factor": factor}
+    return u, {"z": z, "u": u, "factor": factor}
 
 
 def _cov_term(a, b, p, scale, grads):
@@ -167,61 +150,60 @@ def _z_term(a, b, z, model, ay):
         - b * model.adjoint(model.apply(z * a))
 
 
-def _tikh_backward(ubar, rec, model, ay, p, grads):
+def _tikh_backward(ubar, rec, model, ay, p, grads, first):
     """Backward through a Tikhonov block; ay is A^T y.
 
-    Returns (zbar_contribution, ubar_prev) where ubar_prev is nonzero only
-    for the accelerated mode (gradient w.r.t. the warm start).  The k = 0
-    block's z is a constant of the input, so there zbar_contribution is None
-    and is not computed.  Covariance gradients are added to grads.
+    Returns (zbar_contribution, ubar_prev), ubar_prev being the gradient
+    w.r.t. the accelerated mode's warm start and None for the exact solve.
+    The first block's z and warm start are constants of the input, so there
+    both are None and neither is computed.  Covariance gradients are added
+    to grads.
     """
     z = rec["z"]
-    want_z = rec["k"] > 0
-
-    if rec["mode"] == "exact":
+    if "factor" in rec:
         w = tikhonov_adjoint(ubar, z, model, p, rec["factor"])
         _cov_term(w, rec["u"], p, 1.0, grads)
-        zbar = _z_term(w, rec["u"], z, model, ay) if want_z else None
-        return zbar, np.zeros_like(ubar)
+        return (None if first else _z_term(w, rec["u"], z, model, ay)), None
 
     # accelerated mode: reverse through the momentum recursion
-    # u_{j+1} = (1+beta_j) r(u_j) - beta_j r(u_{j-1}), r(u_{-1}) = r(u_0)
+    # u_{j+1} = (1+beta_j) r(u_j) - beta_j r(u_{j-1}), r(u_{-1}) = r(u_0);
+    # a1 and a2 are the gradients w.r.t. u_{j+1} and u_{j+2}
     trace, eta = rec["trace"], rec["eta"]
-    steps = len(trace) - 1
-    rbars = [np.zeros_like(ubar) for _ in range(steps)]
-    ubars = [np.zeros_like(ubar) for _ in range(steps + 1)]
-    ubars[steps] = ubar.copy()
-    zbar = np.zeros_like(z) if want_z else None
-    for j in range(steps - 1, -1, -1):
+    a1, a2 = ubar, None
+    zbar = None if first else np.zeros_like(z)
+    for j in range(len(trace) - 2, -1, -1):
         beta = nagd_momentum(j)
-        ub = ubars[j + 1]
-        rbars[j] += (1.0 + beta) * ub
-        rbars[j - 1 if j >= 1 else 0] += -beta * ub
-        # rbars[j] is final here: its other contribution arrived from j+1
-        rb = rbars[j]
-        if not rb.any():
-            continue
+        rb = (1.0 + beta) * a1
+        if a2 is not None:
+            rb -= nagd_momentum(j + 1) * a2
+        if j == 0:
+            rb -= beta * a1
         uj = trace[j]
-        # through r(u) = u - eta*(A_z^T(A_z u - y) + P^{-1} u) at u_j
-        ubars[j] += rb - eta * (z * model.adjoint(model.apply(z * rb)) + p.solve(rb))
+        if j or not first:
+            # through r(u) = u - eta*(A_z^T(A_z u - y) + P^{-1} u) at u_j;
+            # the first block's u_0 is the constant zero vector
+            a1, a2 = rb - eta * (z * model.adjoint(model.apply(z * rb))
+                                 + p.solve(rb)), a1
         _cov_term(rb, uj, p, eta, grads)
-        if want_z:
+        if zbar is not None:
             zbar += eta * _z_term(rb, uj, z, model, ay)
-    return zbar, ubars[0]
+    return zbar, (None if first else a1)
 
 
 # -- end-to-end forward / backward ---------------------------------------------
 
 class Tape:
-    """Recorded intermediates of one forward pass."""
+    """Recorded intermediates of one forward pass.
+
+    records holds one dict per block in forward order: U_0's Tikhonov
+    update, then for each k its J scale updates and its Tikhonov update,
+    then the refinement update when cfg.refine is set.
+    """
 
     def __init__(self, model, y):
         self.model = model
         self.y = y
         self.records = []
-
-    def count(self, kind):
-        return sum(1 for r in self.records if r[0] == kind)
 
 
 def forward(y, model, params, want_tape=True):
@@ -239,35 +221,27 @@ def forward(y, model, params, want_tape=True):
         raise ValueError("network needs image-shaped signals (square n)")
     p = params.cov()
     tape = Tape(model, y)
+    recs = tape.records
 
     z = initial_scale(model, y, cfg.b)
-    tape.records.append(("init", {"z0": z}))
     u_prev = np.zeros(n) if cfg.u_mode == "nagd" else None
     u, rec = _tikh_forward(z, u_prev, model, y, p, cfg)
-    rec["k"] = 0
-    tape.records.append(("tikhonov", rec))
-
+    recs.append(rec)
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.J + 1):
-            z, grec = _gmap_forward(z, u, model, y, params.delta(k, j),
-                                    cfg.gamma_max, params.kernels(k, j),
-                                    cfg.variant, side)
-            grec.update(k=k, j=j, refine=False)
-            tape.records.append(("gmap", grec))
+            z, rec = _gmap_forward(z, u, model, y, params.delta(k, j),
+                                   cfg.gamma_max, params.kernels(k, j),
+                                   cfg.variant, side)
+            recs.append(rec)
         u, rec = _tikh_forward(z, u, model, y, p, cfg)
-        rec["k"] = k
-        tape.records.append(("tikhonov", rec))
+        recs.append(rec)
 
-    c = u * z
-    tape.records.append(("hadamard", {"u": u, "z": z}))
-    out = c
+    out = u * z
     if cfg.refine:
-        ones = np.ones(n)
-        out, grec = _gmap_forward(c, ones, model, y, params.delta_refine(),
-                                  cfg.gamma_max, params.refine_kernels(),
-                                  cfg.variant, side)
-        grec.update(k=cfg.K + 1, j=1, refine=True)
-        tape.records.append(("gmap", grec))
+        out, rec = _gmap_forward(out, np.ones(n), model, y,
+                                 params.delta_refine(), cfg.gamma_max,
+                                 params.refine_kernels(), cfg.variant, side)
+        recs.append(rec)
     return (out, tape) if want_tape else (out, None)
 
 
@@ -277,46 +251,35 @@ def backward(tape, grad_out, params, grads=None):
     params.values; fresh zeros when None), which is returned.  Each
     parameter array receives its terms in a fixed order, so a batch sum
     built by passing one dict through its samples' calls is deterministic."""
+    cfg = params.cfg
     model, y = tape.model, tape.y
     p = params.cov()
     if grads is None:
         grads = params.zero_grads()
     ay = model.adjoint(y)
+    recs = reversed(tape.records)
 
-    recs = tape.records
-    i = len(recs) - 1
     cbar = np.asarray(grad_out, dtype=np.float64)
-
-    # optional refinement block
-    if recs[i][0] == "gmap" and recs[i][1]["refine"]:
-        rec = recs[i][1]
-        kerns = params.refine_kernels()
-        cbar, _ubar_unused, dbar, dkerns = _gmap_backward(cbar, rec, model, kerns)
+    if cfg.refine:
+        cbar, _, dbar, dkerns = _gmap_backward(cbar, next(recs), model,
+                                               params.refine_kernels())
         grads["delta.refine"] += dbar
         for d, dk in enumerate(dkerns, start=1):
             grads[f"w.refine.{d}"] += dk
-        i -= 1
 
-    kind, rec = recs[i]
-    if kind != "hadamard":
-        raise ValueError("tape does not match the expected block layout")
-    ubar = cbar * rec["z"]
-    zbar = cbar * rec["u"]
-    i -= 1
-
-    while i >= 0:
-        kind, rec = recs[i]
-        if kind == "tikhonov":
-            zc, ubar = _tikh_backward(ubar, rec, model, ay, p, grads)
-            if zc is not None:
-                zbar = zbar + zc
-        elif kind == "gmap":
-            kerns = params.kernels(rec["k"], rec["j"])
-            zbar, ub, dbar, dkerns = _gmap_backward(zbar, rec, model, kerns)
-            ubar = ubar + ub
-            grads["delta"][rec["k"] - 1, rec["j"] - 1] += dbar
+    # C = U_K * Z_K: the last Tikhonov record holds both factors
+    rec = next(recs)
+    ubar, zbar = cbar * rec["z"], cbar * rec["u"]
+    for k in range(cfg.K, 0, -1):
+        zc, ubar = _tikh_backward(ubar, rec, model, ay, p, grads, first=False)
+        zbar = zbar + zc
+        for j in range(cfg.J, 0, -1):
+            zbar, ub, dbar, dkerns = _gmap_backward(zbar, next(recs), model,
+                                                    params.kernels(k, j))
+            ubar = ub if ubar is None else ubar + ub
+            grads["delta"][k - 1, j - 1] += dbar
             for d, dk in enumerate(dkerns, start=1):
-                grads[f"w.{rec['k']}.{rec['j']}.{d}"] += dk
-        i -= 1
-
+                grads[f"w.{k}.{j}.{d}"] += dk
+        rec = next(recs)
+    _tikh_backward(ubar, rec, model, ay, p, grads, first=True)
     return grads

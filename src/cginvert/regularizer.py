@@ -35,22 +35,17 @@ class ScaleRegularizer:
     """R(z): value, gradient, proximal map, and its domain handling.
 
     kind "logsq" lives on the open orthant and uses floor eps_z for
-    projections onto its closure; kind "zero" lives on [0, inf)^n; kind
-    "external" wraps user-supplied callables.
+    projections onto its closure; kind "zero" lives on [0, inf)^n.
     """
 
-    def __init__(self, kind, mu=1.0, floor=DEFAULT_FLOOR,
-                 value_fn=None, grad_fn=None, prox_fn=None):
-        if kind not in ("logsq", "zero", "external"):
+    def __init__(self, kind, mu=1.0, floor=DEFAULT_FLOOR):
+        if kind not in ("logsq", "zero"):
             raise ValueError(f"unknown regularizer kind {kind!r}")
         if kind == "logsq" and not 0 < mu < math.inf:
             raise ValueError(f"logsq needs a finite mu > 0, got {mu!r}")
         self.kind = kind
         self.mu = float(mu)
         self.floor = float(floor)
-        self._value_fn = value_fn
-        self._grad_fn = grad_fn
-        self._prox_fn = prox_fn
 
     @classmethod
     def log_squared(cls, mu=1.0, floor=DEFAULT_FLOOR):
@@ -59,11 +54,6 @@ class ScaleRegularizer:
     @classmethod
     def zero(cls):
         return cls("zero", mu=0.0, floor=0.0)
-
-    @classmethod
-    def external(cls, value_fn, grad_fn=None, prox_fn=None, floor=DEFAULT_FLOOR):
-        return cls("external", floor=floor, value_fn=value_fn,
-                   grad_fn=grad_fn, prox_fn=prox_fn)
 
     @property
     def open_domain(self):
@@ -78,8 +68,6 @@ class ScaleRegularizer:
     def value(self, z):
         if self.kind == "zero":
             return 0.0
-        if self.kind == "external":
-            return float(self._value_fn(z))
         self.check_domain(z)
         lg = np.log(z)
         return self.mu * float(lg @ lg)
@@ -87,8 +75,6 @@ class ScaleRegularizer:
     def grad(self, z):
         if self.kind == "zero":
             return np.zeros_like(z)
-        if self.kind == "external":
-            return np.asarray(self._grad_fn(z), dtype=np.float64)
         self.check_domain(z)
         return 2.0 * self.mu * np.log(z) / z
 
@@ -102,8 +88,6 @@ class ScaleRegularizer:
             raise ValueError("prox needs eta > 0")
         if self.kind == "zero":
             return np.maximum(v, 0.0)
-        if self.kind == "external":
-            return np.asarray(self._prox_fn(v, eta), dtype=np.float64)
         return _prox_log_squared(np.asarray(v, dtype=np.float64), eta * self.mu)
 
     def curvature_bound(self, z):
@@ -274,14 +258,12 @@ def map_equivalence_check(model, y, p, r, u_grid, z_grid, sigma=1.0):
     sig2 = sigma * sigma
 
     def log_scale_prior(z):
-        if r.kind == "logsq":
-            # coordinate-wise log-normal, log-mean = log-var = sigma^2/(2 mu)
-            s2 = sig2 / (2.0 * r.mu)
-            lg = np.log(z)
-            return float(np.sum(-((lg - s2) ** 2) / (2.0 * s2) - lg))
         if r.kind == "zero":
             return 0.0
-        return -r.value(z) / sig2
+        # coordinate-wise log-normal, log-mean = log-var = sigma^2/(2 mu)
+        s2 = sig2 / (2.0 * r.mu)
+        lg = np.log(z)
+        return float(np.sum(-((lg - s2) ** 2) / (2.0 * s2) - lg))
 
     for idx in np.ndindex(shape):
         u = u_grid[list(idx[:n])]

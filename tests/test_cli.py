@@ -364,6 +364,24 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith(f"{kind}: ")
         return err
 
+    def test_checkpoint_for_another_image_size(self, cfg_path, tmp_path, capsys):
+        # a scaled-identity covariance and the kernels have no n-shaped
+        # array, so only the manifest's n tells an 8x8 checkpoint from a
+        # 6x6 one
+        ds = self.gen(cfg_path, tmp_path)
+        ck = tmp_path / "ck"
+        assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+                   "--dataset", str(ds), "--out", str(ck)) == 0
+        small = tmp_path / "ds6"
+        assert run("gen-data", "--config", cfg_path, "--set", "sensing.side=6",
+                   "--out", str(small)) == 0
+        code, err = self.one_line_error(
+            capsys, "eval", "--config", cfg_path, "--set", "sensing.side=6",
+            "--dataset", str(small), "--checkpoint", str(ck),
+            "--out", str(tmp_path / "ev"))
+        assert code == 2 and err.startswith("config error: ")
+        assert "n=64" in err and "n=36" in err
+
     def test_short_checkpoint_blob(self, cfg_path, tmp_path, capsys):
         def corrupt(ck):
             blob = (ck / "params.bin").read_bytes()

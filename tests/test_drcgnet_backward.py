@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cginvert.covariance import CovarianceParam
 from cginvert.drcgnet import NetConfig, backward, forward, init_params
 from cginvert.sensing import SensingModel, build_radon, measure
 
@@ -187,6 +188,33 @@ class TestBackwardWork:
         assert calls["apply"] == updates + 2 * K + per_block * (K + 1)
         assert calls["adjoint"] == 1 + updates + 2 * K + per_block * (K + 1)
 
+    def test_calls_of_one_nagd_backward(self, monkeypatch):
+        # each accelerated step of a block's reverse pass runs one A, one A^T
+        # and one P^{-1} for the gradient w.r.t. its input iterate, two P^{-1}
+        # for the covariance term and, past the first block, two A and two
+        # A^T for the z-gradient; the first block's warm start is the zero
+        # vector, so its j=0 step skips the input-iterate gradient
+        model, y, _ = fd_instance(seed=15, n=16, m=10)
+        K, J, steps = 2, 3, 5
+        cfg = NetConfig(K=K, J=J, depth=2, kernel=3, channels=(2, 1),
+                        u_mode="nagd", nagd_steps=steps, nagd_eta=0.05,
+                        refine=True)
+        params = init_params(cfg, model.n, seed=6, cov_init=0.5)
+        _, tape = forward(y, model, params)
+        calls = {"apply": 0, "adjoint": 0, "solve": 0}
+        for owner, name in ((model, "apply"), (model, "adjoint"),
+                            (CovarianceParam, "solve")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        backward(tape, np.ones(model.n), params)
+        updates = K * J + 1
+        applies = updates + 3 * K * steps + (steps - 1)
+        assert calls["apply"] == applies
+        assert calls["adjoint"] == 1 + applies
+        assert calls["solve"] == 3 * (K + 1) * steps - 1
+
     def test_adds_into_a_passed_gradient_dict(self):
         model, y, rng = fd_instance(seed=13)
         cfg = NetConfig(K=2, J=1, depth=2, kernel=3, channels=(3, 1),
@@ -231,8 +259,11 @@ class TestConvCallContract:
         params = init_params(cfg, model.n, seed=1, cov_init=0.5)
         _, tape = forward(y, model, params)
         backward(tape, np.ones(model.n), params)
-        held = [xp for kind, rec in tape.records if kind == "gmap"
-                for xp in rec["cache"]]
+        # the scale updates sit between the Tikhonov records, every J+1-th
+        # from U_0 on; the refinement is last
+        updates = [tape.records[k * (J + 1) + j] for k in range(K)
+                   for j in range(1, J + 1)] + [tape.records[-1]]
+        held = [xp for rec in updates for xp in rec["cache"]]
         assert len(returned) == len(read) == len(held) == depth * (K * J + 1)
         assert all(a is b for a, b in zip(returned, held))
         assert all(a is b for a, b in zip(read, reversed(held)))

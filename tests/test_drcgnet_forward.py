@@ -12,12 +12,10 @@ from cginvert.drcgnet import (
     conv2d_forward,
     forward,
     init_params,
-    intermediate_map,
     param_count,
-    subnet_forward,
 )
 from cginvert.drcgnet.conv import body, interior, padded
-from cginvert.drcgnet.network import _stack_backward, _stack_forward
+from cginvert.drcgnet.network import _gmap_forward, _stack_backward, _stack_forward
 from cginvert.gcgls import initial_scale
 from cginvert.regularizer import grad_z_datafit
 from cginvert.sensing import SensingModel, measure
@@ -229,35 +227,27 @@ class TestStack:
 
 
 class TestSubnet:
-    def test_zero_kernels_ista_is_identity(self):
-        cfg = NetConfig(K=1, J=1, depth=2, kernel=3, channels=(4, 1),
-                        variant="ista", refine=False)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(16)
-        kernels = [np.zeros((3, 3, 1, 4)), np.zeros((3, 3, 4, 1))]
-        assert np.array_equal(subnet_forward(kernels, x, 4, "ista"), x)
-
     def test_zero_kernels_pgd_is_zero(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(16)
         kernels = [np.zeros((3, 3, 1, 4)), np.zeros((3, 3, 4, 1))]
-        assert np.all(subnet_forward(kernels, x, 4, "pgd") == 0.0)
+        out, _ = _stack_forward(kernels, x, 4)
+        assert np.all(out == 0.0)
 
     def test_single_1x1_kernel_scales(self):
         # depth 1 means the only layer is the linear output layer
         rng = np.random.default_rng(3)
         x = rng.standard_normal(9)
         w = 0.73
-        kernels = [np.full((1, 1, 1, 1), w)]
-        assert subnet_forward(kernels, x, 3, "pgd") == pytest.approx(w * x)
-        assert subnet_forward(kernels, x, 3, "ista") == pytest.approx(x + w * x)
+        out, _ = _stack_forward([np.full((1, 1, 1, 1), w)], x, 3)
+        assert out == pytest.approx(w * x)
 
     def test_hand_rolled_conv_oracle_on_3x3(self):
         # direct convolution loop with explicit zero padding
         rng = np.random.default_rng(4)
         x = rng.standard_normal(9)
         kern = rng.standard_normal((3, 3, 1, 1))
-        out = subnet_forward([kern], x, 3, "pgd")
+        out, _ = _stack_forward([kern], x, 3)
         img = x.reshape(3, 3)
         expect = np.zeros((3, 3))
         for i in range(3):
@@ -272,6 +262,12 @@ class TestSubnet:
         assert out == pytest.approx(expect.reshape(-1), abs=1e-12)
 
 
+def scale_update(z, u, model, y, delta, gamma, kernels, variant):
+    """Output of one scale update of the network, its record dropped."""
+    side = int(math.isqrt(z.size))
+    return _gmap_forward(z, u, model, y, delta, gamma, kernels, variant, side)[0]
+
+
 class TestIntermediateMap:
     def test_zero_delta_zero_kernels_ista_is_relu(self):
         model, rng = small_model(6, 16, 5)
@@ -279,7 +275,7 @@ class TestIntermediateMap:
         z = rng.standard_normal(16)  # signed on purpose
         u = rng.standard_normal(16)
         kernels = [np.zeros((3, 3, 1, 2)), np.zeros((3, 3, 2, 1))]
-        out = intermediate_map(z, u, model, y, 0.0, 1.0, kernels, "ista")
+        out = scale_update(z, u, model, y, 0.0, 1.0, kernels, "ista")
         assert np.array_equal(out, np.maximum(z, 0.0))
 
     def test_step_clamp_inactive(self):
@@ -291,7 +287,7 @@ class TestIntermediateMap:
         delta = 0.2
         gamma = 10.0 * np.linalg.norm(g)  # clamp inactive
         kernels = [np.zeros((3, 3, 1, 1))]
-        out = intermediate_map(z, u, model, y, delta, gamma, kernels, "pgd")
+        out = scale_update(z, u, model, y, delta, gamma, kernels, "pgd")
         assert np.array_equal(out, np.maximum(z - delta * g, 0.0))
 
     def test_step_clamp_halves_at_twice_gamma(self):
@@ -303,7 +299,7 @@ class TestIntermediateMap:
         gamma = float(np.linalg.norm(g)) / 2.0  # norm == 2 * gamma
         delta = 0.4
         kernels = [np.zeros((3, 3, 1, 1))]
-        out = intermediate_map(z, u, model, y, delta, gamma, kernels, "pgd")
+        out = scale_update(z, u, model, y, delta, gamma, kernels, "pgd")
         expect = np.maximum(z - (delta * 0.5) * g, 0.0)
         assert out == pytest.approx(expect, rel=1e-12)
 
@@ -343,8 +339,8 @@ class TestForward:
         params.values["delta"][:] = 0.0
         params.values["delta.refine"][...] = 0.0
         out, tape = forward(y, model, params)
-        had = [rec for kind, rec in tape.records if kind == "hadamard"][0]
-        c = had["u"] * had["z"]
+        last_tikhonov = tape.records[-2]  # the refinement record follows it
+        c = last_tikhonov["u"] * last_tikhonov["z"]
         assert np.all(c >= 0.0)
         assert np.array_equal(out, c)
 
@@ -358,9 +354,11 @@ class TestForward:
                         variant="ista", refine=True)
         params = init_params(cfg, n, seed=0, cov_init=0.5)
         out, tape = forward(y, model, params)
-        assert tape.count("gmap") == 3 * 4 + 1  # 12 scale states + refinement
-        assert tape.count("tikhonov") == 4      # U_0..U_3
-        assert tape.count("hadamard") == 1
+        # U_0, then per k its 4 scale updates and its Tikhonov update, then
+        # the refinement: 12 scale states + refinement, U_0..U_3
+        assert len(tape.records) == 1 + 3 * (4 + 1) + 1
+        tikhonov = [i for i, rec in enumerate(tape.records) if "cache" not in rec]
+        assert tikhonov == [0, 5, 10, 15]
         assert out.shape == (n,)
 
     def test_tape_keeps_only_padded_stack_inputs(self):
@@ -386,8 +384,9 @@ class TestForward:
 
         pad = k // 2
         padded = (side + 2 * pad + 1) * (side + 2 * pad)
-        stacks = [rec["cache"] for kind, rec in tape.records if kind == "gmap"]
-        assert len(stacks) == 2
+        # U_0, the scale update, U_1, the refinement
+        assert len(tape.records) == 4
+        stacks = [tape.records[i]["cache"] for i in (1, 3)]
         for cache in stacks:
             assert len(cache) == 8
             for cin, entry in zip(cfg.layer_channels(), cache):
@@ -468,10 +467,11 @@ class TestActivationInvariant:
             cfg = NetConfig(K=2, J=3, depth=2, kernel=3, channels=(4, 1),
                             variant=variant, refine=True)
             params = init_params(cfg, 16, seed=3, cov_init=0.5)
-            _, tape = forward(y, model, params)
-            for kind, rec in tape.records:
-                if kind == "gmap":
-                    out = np.maximum(rec["pre"], 0.0)
-                    assert np.all(out >= 0.0)
-                if kind == "init":
-                    assert np.all(rec["z0"] >= 0.0)
+            out, tape = forward(y, model, params)
+            # the clamped initialization Z_0 and every update's output: each
+            # Tikhonov record holds the scales it solved with, and each scale
+            # update is fed the previous update's output
+            for i, rec in enumerate(tape.records[:-1]):
+                z = rec["z"] if i % (cfg.J + 1) == 0 else rec["z_in"]
+                assert np.all(z >= 0.0)
+            assert np.all(out >= 0.0)  # the refinement update's output

@@ -267,19 +267,6 @@ class TestProx:
             ScaleRegularizer.log_squared(1.0).prox(np.ones(2), 0.0)
 
 
-class TestExternalRegularizer:
-    def test_wraps_callables(self):
-        r = ScaleRegularizer.external(
-            value_fn=lambda z: float(np.sum(z ** 2)),
-            grad_fn=lambda z: 2.0 * z,
-            prox_fn=lambda v, eta: v / (1.0 + 2.0 * eta),
-        )
-        z = np.array([1.0, 2.0])
-        assert r.value(z) == 5.0
-        assert np.array_equal(r.grad(z), 2.0 * z)
-        assert r.prox(z, 0.5) == pytest.approx(z / 2.0)
-
-
 class TestMapEquivalence:
     def grids(self):
         return np.linspace(-2.0, 2.0, 41), np.geomspace(0.05, 5.0, 41)
