@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, read_manifest
 from .imageio import read_pgm
@@ -67,6 +68,8 @@ def synthetic_image(side, rng):
 
 
 def _load_image_rasters(images_dir, side, n_samples):
+    if not os.path.isdir(images_dir):
+        raise DataError(f"image source {images_dir} is not a directory")
     names = sorted(f for f in os.listdir(images_dir)
                    if f.lower().endswith(".pgm"))
     if len(names) < n_samples:
@@ -225,15 +228,14 @@ def ssim(x, ref, peak=1.0, window=8):
     win = min(window, h, w)
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    vals = []
-    for i in range(h - win + 1):
-        for j in range(w - win + 1):
-            a = x[i:i + win, j:j + win]
-            b = ref[i:i + win, j:j + win]
-            ma, mb = a.mean(), b.mean()
-            va = (a * a).mean() - ma * ma
-            vb = (b * b).mean() - mb * mb
-            cab = (a * b).mean() - ma * mb
-            vals.append(((2 * ma * mb + c1) * (2 * cab + c2))
-                        / ((ma * ma + mb * mb + c1) * (va + vb + c2)))
-    return float(np.mean(vals))
+
+    def means(a):
+        return sliding_window_view(a, (win, win)).mean(axis=(2, 3))
+
+    ma, mb = means(x), means(ref)
+    va = means(x * x) - ma * ma
+    vb = means(ref * ref) - mb * mb
+    cab = means(x * ref) - ma * mb
+    vals = (((2 * ma * mb + c1) * (2 * cab + c2))
+            / ((ma * ma + mb * mb + c1) * (va + vb + c2)))
+    return float(vals.mean())

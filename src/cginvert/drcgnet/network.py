@@ -32,21 +32,23 @@ __all__ = ["forward", "backward", "Tape"]
 
 # -- convolution stack -------------------------------------------------------
 
-def _stack_forward(kernels, x_vec, side):
+def _stack_forward(kernels, x_vec, side, keep=True):
     """Run the D-layer stack on a vector: padded buffer -> convs -> vec.
 
     ReLU follows every layer except the last (linear output layer).
     Returns (out_vec, cache) where cache holds each layer's padded input
     buffer and nothing else: the ReLU mask of layer d is the positive part
-    of layer d+1's input.
+    of layer d+1's input.  With keep False the cache is None, and each
+    buffer is freed once the next layer has read it.
     """
     k = kernels[0].shape[0]
     xp = padded(x_vec.reshape(side, side, 1), k)
-    cache = []
+    cache = [] if keep else None
     last = len(kernels) - 1
     for d, kern in enumerate(kernels):
         xp, held = conv2d_forward(xp, kern, side, side, relu=d != last)
-        cache.append(held)
+        if keep:
+            cache.append(held)
     return interior(xp, k, side, side).reshape(-1), cache
 
 
@@ -66,12 +68,13 @@ def _stack_backward(dout_vec, kernels, cache, side):
 
 # -- one learnable scale update ----------------------------------------------
 
-def _gmap_forward(z, u, model, y, delta, gamma_max, kernels, variant, side):
+def _gmap_forward(z, u, model, y, delta, gamma_max, kernels, variant, side,
+                  keep=True):
     """ReLU-composed scale update with a normalized data-fidelity step.
 
     The effective step is delta * min(1, gamma_max/||grad||); pgd adds the
     stack of the incoming z to the gradient step, ista runs the stack (with
-    skip) on the gradient step itself.
+    skip) on the gradient step itself.  keep False records no conv cache.
     """
     t = model.apply(u * z) - y
     t_adj = model.adjoint(t)
@@ -80,7 +83,8 @@ def _gmap_forward(z, u, model, y, delta, gamma_max, kernels, variant, side):
     s = 1.0 if norm <= gamma_max else gamma_max / norm
     eta = delta * s
     r = z - eta * g
-    stack_out, cache = _stack_forward(kernels, z if variant == "pgd" else r, side)
+    stack_out, cache = _stack_forward(kernels, z if variant == "pgd" else r,
+                                      side, keep)
     pre = r + stack_out
     z_out = np.maximum(pre, 0.0)
     return z_out, {
@@ -207,7 +211,8 @@ class Tape:
 
 
 def forward(y, model, params, want_tape=True):
-    """Run the unrolled network; returns (c_hat, tape).
+    """Run the unrolled network; returns (c_hat, tape), the tape None when
+    want_tape is False.
 
     Structure: scale init (clamped normalized adjoint), Tikhonov U_0, then
     K rounds of J learnable scale updates and a Tikhonov update, the
@@ -220,29 +225,32 @@ def forward(y, model, params, want_tape=True):
     if side * side != n:
         raise ValueError("network needs image-shaped signals (square n)")
     p = params.cov()
-    tape = Tape(model, y)
-    recs = tape.records
+    # without a tape, each block's record and conv buffers die when the next
+    # block replaces them
+    tape = Tape(model, y) if want_tape else None
+    record = tape.records.append if want_tape else lambda rec: None
 
     z = initial_scale(model, y, cfg.b)
     u_prev = np.zeros(n) if cfg.u_mode == "nagd" else None
     u, rec = _tikh_forward(z, u_prev, model, y, p, cfg)
-    recs.append(rec)
+    record(rec)
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.J + 1):
             z, rec = _gmap_forward(z, u, model, y, params.delta(k, j),
                                    cfg.gamma_max, params.kernels(k, j),
-                                   cfg.variant, side)
-            recs.append(rec)
+                                   cfg.variant, side, want_tape)
+            record(rec)
         u, rec = _tikh_forward(z, u, model, y, p, cfg)
-        recs.append(rec)
+        record(rec)
 
     out = u * z
     if cfg.refine:
         out, rec = _gmap_forward(out, np.ones(n), model, y,
                                  params.delta_refine(), cfg.gamma_max,
-                                 params.refine_kernels(), cfg.variant, side)
-        recs.append(rec)
-    return (out, tape) if want_tape else (out, None)
+                                 params.refine_kernels(), cfg.variant, side,
+                                 want_tape)
+        record(rec)
+    return out, tape
 
 
 def backward(tape, grad_out, params, grads=None):

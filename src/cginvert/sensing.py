@@ -116,7 +116,11 @@ class SensingModel:
         are gram @ w.  An empty row's row and column of the product are zero.
         It depends on Psi alone: the symbolic half of forming the Woodbury
         system, one O(sum_k nnz(Psi[:, k])^2) pass instead of a sparse-sparse
-        product per call.
+        product per call.  Nothing is sorted: a row's rank among the live
+        rows and a position's rank among the triangle's nonzeros are cumsums
+        of marks (m bools, then r^2 bools: 1/8 of the r x r float64 system
+        the u-update fills), and gram is laid out by pixel, in the order the
+        pairs are made, so its CSR form is one transpose.
         """
         if self._gram_map is None:
             csc = self.psi.tocsc(copy=True)
@@ -129,13 +133,21 @@ class SensingModel:
             first = np.repeat(np.arange(csc.nnz), reps)
             second = (np.arange(first.size) + start[first]
                       - np.repeat(np.cumsum(reps) - reps, reps))
-            live, rows = np.unique(csc.indices, return_inverse=True)
-            flat, slot = np.unique(rows[second] * live.size + rows[first],
-                                   return_inverse=True)
-            pixel = np.repeat(np.arange(self.n), counts)[first]
-            gram = sp.csr_matrix(
-                (csc.data[first] * csc.data[second], (slot, pixel)),
-                shape=(flat.size, self.n))
+            mark = np.zeros(self.m, dtype=bool)
+            mark[csc.indices] = True
+            live = np.flatnonzero(mark)
+            rows = (np.cumsum(mark) - 1)[csc.indices]
+            key = rows[second] * live.size + rows[first]
+            mark = np.zeros(live.size * live.size, dtype=bool)
+            mark[key] = True
+            flat = np.flatnonzero(mark)
+            slot = (np.cumsum(mark) - 1)[key]
+            # column k of gram holds the counts[k] (counts[k] + 1) / 2 pairs
+            # of Psi's column k
+            indptr = np.concatenate(([0], np.cumsum(counts * (counts + 1) // 2)))
+            gram = sp.csc_matrix(
+                (csc.data[first] * csc.data[second], slot, indptr),
+                shape=(flat.size, self.n)).tocsr()
             self._gram_map = (live, flat, gram)
         return self._gram_map
 
@@ -145,47 +157,45 @@ class SensingModel:
         return cfg
 
 
-def _radon_ray_weights(side, theta, t):
-    """Intersection lengths of one ray with every pixel of a side x side grid.
+def _radon_angle(side, theta, t):
+    """Intersection lengths of the rays of one angle with the pixels of a
+    side x side grid, all detector offsets t at once.
 
-    The grid covers [-side/2, side/2]^2 with unit pixels; the ray is the line
-    {t*(cos, sin) + s*(-sin, cos)} for the angle theta.  Returns (pixel_idx,
-    weights) with row-major pixel indices (row 0 at the top of the image).
+    The grid covers [-side/2, side/2]^2 with unit pixels; the ray at offset
+    t is the line {t*(cos, sin) + s*(-sin, cos)} for the angle theta.  Each
+    ray is clipped to the grid (Liang-Barsky in s), its grid-line crossings
+    are clipped into [lo, hi] and sorted row-wise, and each segment between
+    consecutive values goes to the pixel holding its midpoint; a repeated
+    value makes a zero-length segment, which the length filter drops.
+    Returns (ray, pixel, weight) in ray order and increasing s within a ray,
+    with ray indices into t and row-major pixel indices (row 0 at the top of
+    the image).
     """
     h = side / 2.0
     c, s0 = math.cos(theta), math.sin(theta)
-    # entry/exit of the ray in the bounding box via Liang-Barsky in s
-    lo, hi = -np.inf, np.inf
-    # x(s) = t*c - s*s0 in [-h, h]
-    if s0 != 0.0:
-        s_a = (t * c - (-h)) / s0
-        s_b = (t * c - h) / s0
-        lo, hi = max(lo, min(s_a, s_b)), min(hi, max(s_a, s_b))
-    elif not (-h <= t * c <= h):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    # y(s) = t*s0 + s*c in [-h, h]
-    if c != 0.0:
-        s_a = ((-h) - t * s0) / c
-        s_b = (h - t * s0) / c
-        lo, hi = max(lo, min(s_a, s_b)), min(hi, max(s_a, s_b))
-    elif not (-h <= t * s0 <= h):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    if not (lo < hi) or not np.isfinite(lo) or not np.isfinite(hi):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-
     lines = np.arange(side + 1) - h
-    crossings = [np.array([lo, hi])]
-    if s0 != 0.0:
-        crossings.append((t * c - lines) / s0)
-    if c != 0.0:
-        crossings.append((lines - t * s0) / c)
-    svals = np.concatenate(crossings)
-    svals = np.unique(svals[(svals >= lo) & (svals <= hi)])
-    if svals.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+    lo = np.full(t.shape, -np.inf)
+    hi = np.full(t.shape, np.inf)
+    ok = np.ones(t.shape, dtype=bool)
+    crossings = []
+    # x(s) = t*c - s*s0 and y(s) = t*s0 + s*c, each base + s*slope, in [-h, h]
+    for base, slope in ((t * c, -s0), (t * s0, c)):
+        if slope != 0.0:
+            s_a = (-h - base) / slope
+            s_b = (h - base) / slope
+            lo = np.maximum(lo, np.minimum(s_a, s_b))
+            hi = np.minimum(hi, np.maximum(s_a, s_b))
+            crossings.append((lines - base[:, None]) / slope)
+        else:
+            ok &= (-h <= base) & (base <= h)
+    # one of s0, c is nonzero, so lo and hi are finite
+    ok &= lo < hi
 
-    mids = 0.5 * (svals[1:] + svals[:-1])
-    seglen = np.diff(svals)
+    lo, hi, t = lo[ok, None], hi[ok, None], t[ok, None]
+    svals = np.concatenate([lo, hi] + [x[ok] for x in crossings], axis=1)
+    svals = np.sort(np.clip(svals, lo, hi), axis=1)
+    mids = 0.5 * (svals[:, 1:] + svals[:, :-1])
+    seglen = np.diff(svals, axis=1)
     xm = t * c - mids * s0
     ym = t * s0 + mids * c
     cols = np.floor(xm + h).astype(np.int64)
@@ -197,7 +207,8 @@ def _radon_ray_weights(side, theta, t):
         & (rows >= 0)
         & (rows < side)
     )
-    return rows[keep] * side + cols[keep], seglen[keep]
+    ray = np.broadcast_to(np.flatnonzero(ok)[:, None], keep.shape)[keep]
+    return ray, rows[keep] * side + cols[keep], seglen[keep]
 
 
 def build_radon(side, n_angles):
@@ -205,8 +216,8 @@ def build_radon(side, n_angles):
 
     Angles are i * 180/n_angles degrees for i = 0..n_angles-1; each angle has
     ceil(sqrt(2)*side) unit-spaced detector bins centered on the image.  Row
-    weights are exact ray/pixel intersection lengths; rows are ordered
-    angle-major then detector.
+    weights are exact ray/pixel intersection lengths, traced one angle at a
+    time; rows are ordered angle-major then detector.
     """
     if side < 1 or n_angles < 1:
         raise ValueError("side and n_angles must be >= 1")
@@ -217,19 +228,13 @@ def build_radon(side, n_angles):
 
     rows, cols, vals = [], [], []
     for i in range(n_angles):
-        theta = i * math.pi / n_angles
-        for d in range(n_det):
-            idx, w = _radon_ray_weights(side, theta, offsets[d])
-            if idx.size:
-                r = i * n_det + d
-                rows.append(np.full(idx.size, r, dtype=np.int64))
-                cols.append(idx)
-                vals.append(w)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    psi = sp.csr_matrix((vals, (rows, cols)), shape=(m, n), dtype=np.float64)
+        ray, pixel, w = _radon_angle(side, i * math.pi / n_angles, offsets)
+        rows.append(i * n_det + ray)
+        cols.append(pixel)
+        vals.append(w)
+    psi = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, n), dtype=np.float64)
     meta = {"kind": "radon", "angles": n_angles, "detectors": n_det}
     return SensingModel(psi, phi=None, side=side, meta=meta)
 
@@ -262,7 +267,8 @@ def measure(model, c, snr_db, seed=0):
 
     White Gaussian noise is rescaled after sampling so that
     10*log10(||Ac||^2 / ||noise||^2) hits snr_db exactly.  snr_db = inf
-    yields noiseless measurements.  A non-finite A c, ||A c|| or y raises
+    yields noiseless measurements.  A non-finite A c, ||A c|| or y, or an
+    SNR whose amplitude ratio 10^(snr_db/20) overflows, raises
     NumericalError.
     """
     if not snr_db > -np.inf:
@@ -275,9 +281,14 @@ def measure(model, c, snr_db, seed=0):
         return clean
     if sig == 0.0:
         raise DataError("zero signal: ||A c|| = 0 with finite SNR requested")
+    try:
+        gain = 10.0 ** (float(snr_db) / 20.0)
+    except OverflowError:
+        raise NumericalError(
+            f"10^(snr_db/20) overflows at {float(snr_db):g} dB SNR") from None
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(model.m)
-    g *= sig / (np.linalg.norm(g) * 10.0 ** (snr_db / 20.0))
+    g *= sig / (np.linalg.norm(g) * gain)
     y = clean + g
     if not np.isfinite(y).all():
         raise NumericalError(f"measurements at {float(snr_db):g} dB SNR are not finite")

@@ -4,18 +4,19 @@ Three routes: the direct n x n symmetric solve, the Woodbury rewrite that
 solves an m x m system instead, and a Nesterov-accelerated gradient descent
 approximation for problems where a factorization is unwanted.  With a sparse
 Psi, no dictionary and a diagonal P, the Woodbury system
-Psi Diag(z^2 d) Psi^T + I is formed from a per-operator map of Psi's Gram
-pattern (SensingModel.gram_map) on Psi's live rows only, those with a stored
-entry: an empty row contributes an identity row and column whose solution
-entry Psi^T never reads, so dropping it is exact (78 of the 690 Radon
-32x32/15 rows are empty).  One sparse mat-vec per u-update writes the
+Psi Diag(z^2 d) Psi^T + I is formed on Psi's live rows only, those with a
+stored entry: an empty row contributes an identity row and column whose
+solution entry Psi^T never reads, so dropping it is exact (78 of the 690
+Radon 32x32/15 rows are empty).  A per-operator map of Psi's Gram pattern
+(SensingModel.gram_map) is built once, without a sort: live rows and
+triangle positions are ranked by cumsums of an m-bool and an r^2-bool mark,
+r the number of live rows.  One sparse mat-vec per u-update then writes the
 system's lower triangle in column-major order, where LAPACK factors it in
-place, and the dense A is never built.  The O(r^3) Cholesky, r the number of
-live rows, is then the only r^2-sized work left per update: no second copy
-is made, and the finite checks read the diagonal and the whole right-hand
-side only.  tikhonov_factored alone picks the exact route, and
-tikhonov_adjoint solves against its factor, live rows included, for the
-network backward.
+place, and the dense A is never built.  The O(r^3) Cholesky is then the only
+r^2-sized work left per update: no second copy is made, and the finite
+checks read the diagonal and the whole right-hand side only.
+tikhonov_factored alone picks the exact route, and tikhonov_adjoint solves
+against its factor, live rows included, for the network backward.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .sensing import spectral_norm
 
 __all__ = [
     "NagdConfig",
-    "tikhonov_exact",
-    "tikhonov_woodbury",
     "tikhonov_solve",
     "tikhonov_factored",
     "tikhonov_adjoint",
@@ -73,12 +72,6 @@ def grad_u(u, z, model, y, p):
     return z * model.adjoint(model.apply(z * u) - y) + p.solve(u)
 
 
-def tikhonov_exact(z, model, y, p):
-    """Direct n x n solve of (A_z^T A_z + P^{-1}) u = A_z^T y."""
-    u, _ = _tikhonov_direct_with_factor(z, model, y, p)
-    return u
-
-
 def _factor(s, psd_plus_identity=False):
     """Cholesky factor of the SPD matrix s, computed in place.
 
@@ -105,6 +98,8 @@ def _backsolve(cho, b, live=slice(None)):
 
 
 def _tikhonov_direct_with_factor(z, model, y, p):
+    """Direct n x n solve of (A_z^T A_z + P^{-1}) u = A_z^T y; returns
+    (u, Cholesky factor)."""
     az = _a_z(z, model)
     g = az.T @ az
     p.add_inverse_to(g)
@@ -113,12 +108,9 @@ def _tikhonov_direct_with_factor(z, model, y, p):
     return _backsolve(cho, rhs), cho
 
 
-def tikhonov_woodbury(z, model, y, p):
-    """Woodbury form  u = P A_z^T (I + A_z P A_z^T)^{-1} y  (m x m solve)."""
-    return _tikhonov_woodbury_with_factor(z, model, y, p)[0]
-
-
 def _tikhonov_woodbury_with_factor(z, model, y, p):
+    """Woodbury form u = P A_z^T (I + A_z P A_z^T)^{-1} y, an m x m solve;
+    returns (u, Cholesky factor, the rows it covers)."""
     d = p.diag_values()
     sparse = d is not None and model.phi is None and sp.issparse(model.psi)
     if sparse:

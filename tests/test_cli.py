@@ -295,6 +295,27 @@ class TestMalformedInput:
         assert "||A c|| = inf is not finite" in err
         assert not (tmp_path / "ds").exists()
 
+    def test_gen_data_overflowing_snr(self, cfg_path, tmp_path, capsys):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            "data.snr_db=1e308", "--out", str(tmp_path / "ds"))
+        assert code == 4 and err.startswith("numerical failure: ")
+        assert "overflows at 1e+308 dB SNR" in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("kind", ["file", "missing"])
+    def test_gen_data_source_not_a_directory(self, cfg_path, tmp_path, capsys,
+                                             kind):
+        source = tmp_path / "images"
+        if kind == "file":
+            source.write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            f"data.source={source}", "--out", str(tmp_path / "ds"))
+        assert code == 3 and err.startswith("data error: ")
+        assert f"{source} is not a directory" in err
+        assert not (tmp_path / "ds").exists()
+
     @pytest.mark.parametrize("scale", ["nan", "0"])
     def test_gen_data_bad_sensing_scale(self, cfg_path, tmp_path, capsys, scale):
         code, err = self.one_line_error(

@@ -82,6 +82,36 @@ class TestSsim:
                             / ((ma * ma + mb * mb + c1) * (va + vb + c2)))
         assert ssim(a, b) == pytest.approx(float(np.mean(vals)), abs=1e-10)
 
+    @staticmethod
+    def window_loop_ssim(x, ref, peak=1.0, window=8):
+        """SSIM one window at a time, as a Python loop over the windows."""
+        h, w = x.shape
+        win = min(window, h, w)
+        c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+        vals = []
+        for i in range(h - win + 1):
+            for j in range(w - win + 1):
+                a = x[i:i + win, j:j + win]
+                b = ref[i:i + win, j:j + win]
+                ma, mb = a.mean(), b.mean()
+                va = (a * a).mean() - ma * ma
+                vb = (b * b).mean() - mb * mb
+                cab = (a * b).mean() - ma * mb
+                vals.append(((2 * ma * mb + c1) * (2 * cab + c2))
+                            / ((ma * ma + mb * mb + c1) * (va + vb + c2)))
+        return float(np.mean(vals))
+
+    @pytest.mark.parametrize("shape,window,peak", [
+        ((8, 8), 8, 1.0), ((32, 32), 8, 1.0), ((13, 21), 8, 1.0),
+        ((5, 9), 8, 2.0), ((16, 16), 3, 0.5)])
+    def test_matches_window_loop(self, shape, window, peak):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            ref = rng.uniform(0, peak, shape)
+            x = ref + rng.normal(0, 0.1 * peak, shape)
+            expect = self.window_loop_ssim(x, ref, peak, window)
+            assert ssim(x, ref, peak, window) == pytest.approx(expect, abs=1e-10)
+
     def test_vector_input_reshapes(self):
         rng = np.random.default_rng(6)
         img = rng.uniform(0, 1, (8, 8))

@@ -6,6 +6,7 @@ import pytest
 from scipy.signal import convolve2d, correlate2d
 
 from cginvert.covariance import CovarianceParam
+from cginvert.data_metrics import gen_dataset
 from cginvert.drcgnet import (
     NetConfig,
     conv2d_backward,
@@ -18,7 +19,7 @@ from cginvert.drcgnet.conv import body, interior, padded
 from cginvert.drcgnet.network import _gmap_forward, _stack_backward, _stack_forward
 from cginvert.gcgls import initial_scale
 from cginvert.regularizer import grad_z_datafit
-from cginvert.sensing import SensingModel, measure
+from cginvert.sensing import SensingModel, build_radon, measure
 from cginvert.tikhonov import tikhonov_solve
 
 
@@ -393,6 +394,30 @@ class TestForward:
                 assert sum(a.size for a in arrays(entry)) <= cin * padded
         for a in arrays(tape.records):
             assert not (a.ndim == 4 and a.shape[0] == side * side)
+
+    def test_tapeless_forward_holds_one_block(self):
+        # the paper network on Radon 32x32/15: a taped forward keeps every
+        # block's conv buffers (about 40 MB); without a tape only the block
+        # being run holds any, so the peak is a small fraction of that
+        model = build_radon(32, 15)
+        y = gen_dataset("synthetic", model, 60.0, 1, 1).pairs[0][0]
+        params = init_params(NetConfig(), model.n, seed=1, cov_init=0.1)
+
+        def traced(want_tape):
+            tracemalloc.start()
+            try:
+                out, tape = forward(y, model, params, want_tape=want_tape)
+                return out, tape, tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        out, tape, taped_mb = traced(True)
+        del tape
+        bare, tape, bare_mb = traced(False)
+        assert tape is None
+        assert np.array_equal(bare, out)
+        assert taped_mb > 30.0
+        assert bare_mb < 8.0
 
     def test_needs_square_signal(self):
         model, rng = small_model(4, 6, 12)

@@ -15,3 +15,12 @@ def test_every_all_entry_resolves():
                   if not hasattr(module, attr)]
     assert len(names) > 10
     assert stale == []
+
+
+def test_u_update_exports_only_the_routed_solve():
+    # tikhonov_factored picks the route; the direct and Woodbury solves
+    # stay private helpers behind it
+    from cginvert import tikhonov
+    assert {"tikhonov_solve", "tikhonov_factored",
+            "tikhonov_adjoint"} <= set(tikhonov.__all__)
+    assert not {"tikhonov_exact", "tikhonov_woodbury"} & set(dir(tikhonov))

@@ -14,6 +14,9 @@ from cginvert.sensing import (
     measure,
 )
 
+ORACLE_SIZES = [(1, 1), (5, 2), (6, 4), (8, 6), (9, 8), (13, 7), (16, 5),
+               (32, 15)]
+
 
 def ray_box_length(theta, t, x0, x1, y0, y1):
     """Independent Liang-Barsky clip of one ray against one box."""
@@ -182,6 +185,11 @@ class TestMeasure:
                 np.errstate(divide="ignore"):
             measure(self.model, self.c, -7000.0)
 
+    def test_overflowing_snr_raises(self):
+        # 10^(1e308/20) overflows; the noise would be scaled by 1/inf
+        with pytest.raises(NumericalError, match="overflows at 1e\\+308 dB"):
+            measure(self.model, self.c, 1e308)
+
     def test_snr_rescaling_identity(self):
         meas = measure(self.model, self.c, 60.0, seed=5)
         clean = self.model.apply(self.c)
@@ -345,3 +353,121 @@ class TestGramMap:
     def test_second_call_returns_cached_map(self):
         model = build_radon(6, 3)
         assert model.gram_map() is model.gram_map()
+
+
+def reference_ray_weights(side, theta, t):
+    """Intersection lengths of one ray with every pixel, one ray at a time:
+    the per-ray construction the vectorized tracer replaced.  Returns
+    (pixel_idx, weights) in increasing s along the ray."""
+    h = side / 2.0
+    c, s0 = math.cos(theta), math.sin(theta)
+    empty = np.empty(0, dtype=np.int64), np.empty(0)
+    lo, hi = -np.inf, np.inf
+    if s0 != 0.0:
+        s_a = (t * c - (-h)) / s0
+        s_b = (t * c - h) / s0
+        lo, hi = max(lo, min(s_a, s_b)), min(hi, max(s_a, s_b))
+    elif not (-h <= t * c <= h):
+        return empty
+    if c != 0.0:
+        s_a = ((-h) - t * s0) / c
+        s_b = (h - t * s0) / c
+        lo, hi = max(lo, min(s_a, s_b)), min(hi, max(s_a, s_b))
+    elif not (-h <= t * s0 <= h):
+        return empty
+    if not (lo < hi) or not np.isfinite(lo) or not np.isfinite(hi):
+        return empty
+    lines = np.arange(side + 1) - h
+    crossings = [np.array([lo, hi])]
+    if s0 != 0.0:
+        crossings.append((t * c - lines) / s0)
+    if c != 0.0:
+        crossings.append((lines - t * s0) / c)
+    svals = np.concatenate(crossings)
+    svals = np.unique(svals[(svals >= lo) & (svals <= hi)])
+    if svals.size < 2:
+        return empty
+    mids = 0.5 * (svals[1:] + svals[:-1])
+    seglen = np.diff(svals)
+    cols = np.floor(t * c - mids * s0 + h).astype(np.int64)
+    rows = np.floor(h - (t * s0 + mids * c)).astype(np.int64)
+    keep = ((seglen > 1e-12) & (cols >= 0) & (cols < side)
+            & (rows >= 0) & (rows < side))
+    return rows[keep] * side + cols[keep], seglen[keep]
+
+
+def reference_radon_psi(side, n_angles):
+    """Psi of build_radon assembled ray by ray from the reference weights."""
+    n_det, offsets = radon_offsets(side)
+    rows, cols, vals = [np.empty(0, dtype=np.int64)], \
+        [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for i in range(n_angles):
+        for d in range(n_det):
+            idx, w = reference_ray_weights(side, i * math.pi / n_angles,
+                                           offsets[d])
+            rows.append(np.full(idx.size, i * n_det + d, dtype=np.int64))
+            cols.append(idx)
+            vals.append(w)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_angles * n_det, side * side), dtype=np.float64)
+
+
+def reference_gram_map(psi, m, n):
+    """gram_map built with sorts: np.unique for the live rows and the flat
+    positions, and a COO-to-CSR conversion for gram."""
+    csc = psi.tocsc(copy=True)
+    csc.sum_duplicates()
+    counts = np.diff(csc.indptr)
+    start = np.repeat(csc.indptr[:-1], counts)
+    reps = np.arange(csc.nnz) - start + 1
+    first = np.repeat(np.arange(csc.nnz), reps)
+    second = (np.arange(first.size) + start[first]
+              - np.repeat(np.cumsum(reps) - reps, reps))
+    live, rows = np.unique(csc.indices, return_inverse=True)
+    flat, slot = np.unique(rows[second] * live.size + rows[first],
+                           return_inverse=True)
+    pixel = np.repeat(np.arange(n), counts)[first]
+    gram = sp.csr_matrix((csc.data[first] * csc.data[second], (slot, pixel)),
+                         shape=(flat.size, n))
+    return live, flat, gram
+
+
+def assert_same_csr(got, expect):
+    """Equal shape, and byte-equal index and value arrays."""
+    assert got.shape == expect.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestVectorizedConstruction:
+    @pytest.mark.parametrize("side,angles", ORACLE_SIZES)
+    def test_radon_psi_is_byte_equal_to_the_per_ray_build(self, side, angles):
+        model = build_radon(side, angles)
+        expect = reference_radon_psi(side, angles)
+        assert_same_csr(model.psi, expect)
+        assert model.a_norm == SensingModel(expect).a_norm
+
+    @staticmethod
+    def assert_same_gram_map(model):
+        live, flat, gram = model.gram_map()
+        r_live, r_flat, r_gram = reference_gram_map(model.psi, model.m, model.n)
+        assert np.array_equal(live, r_live)
+        assert flat.dtype == r_flat.dtype and np.array_equal(flat, r_flat)
+        assert_same_csr(gram, r_gram)
+
+    @pytest.mark.parametrize("side,angles", ORACLE_SIZES)
+    def test_radon_gram_map_matches_the_sorted_build(self, side, angles):
+        self.assert_same_gram_map(build_radon(side, angles))
+
+    def test_gram_map_with_empty_rows_and_duplicate_entries(self):
+        # rows 1 and 4 store nothing; (0, 2) and (3, 1) are each stored twice
+        psi = sp.csr_matrix(
+            ([1.0, 2.0, -0.5, 3.0, 0.25, 1.5, -1.0, 0.75, 2.5],
+             [2, 0, 2, 1, 1, 3, 1, 0, 3], [0, 3, 3, 4, 7, 7, 9]),
+            shape=(6, 4))
+        assert psi.nnz == 9 and not psi.has_canonical_format
+        model = SensingModel(psi)
+        self.assert_same_gram_map(model)
+        assert np.array_equal(model.gram_map()[0], [0, 2, 3, 5])

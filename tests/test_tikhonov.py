@@ -13,15 +13,15 @@ from cginvert.errors import DivergenceError
 from cginvert.regularizer import ScaleRegularizer, cost
 from cginvert.sensing import SensingModel, build_radon
 from cginvert.tikhonov import (
+    _tikhonov_direct_with_factor,
+    _tikhonov_woodbury_with_factor,
     NagdConfig,
     estimate_u_lipschitz,
     grad_u,
     r_u_step,
     tikhonov_adjoint,
-    tikhonov_exact,
     tikhonov_factored,
     tikhonov_nagd,
-    tikhonov_woodbury,
     u_objective,
 )
 from test_sensing import mapped_gram
@@ -154,19 +154,19 @@ class TestCovariance:
 class TestExactSolve:
     def test_zero_scales_give_zero(self):
         model, y, _, p = make_instance(4, 7, 0)
-        u = tikhonov_exact(np.zeros(7), model, y, p)
+        u = _tikhonov_direct_with_factor(np.zeros(7), model, y, p)[0]
         assert u == pytest.approx(np.zeros(7), abs=1e-14)
 
     def test_identity_halves_measurements(self):
         model = SensingModel(np.eye(6))
         y = np.random.default_rng(1).standard_normal(6)
         p = CovarianceParam.scaled_identity(6, 1.0)
-        u = tikhonov_exact(np.ones(6), model, y, p)
+        u = _tikhonov_direct_with_factor(np.ones(6), model, y, p)[0]
         assert u == pytest.approx(y / 2.0, rel=1e-12)
 
     def test_against_stacked_least_squares_oracle(self):
         model, y, z, p = make_instance(8, 12, 2, "tridiagonal")
-        u = tikhonov_exact(z, model, y, p)
+        u = _tikhonov_direct_with_factor(z, model, y, p)[0]
         # independent route: augmented least squares with a P^{-1/2} block
         az = model.dense_a() * z[None, :]
         w, v = np.linalg.eigh(p.materialize())
@@ -178,7 +178,7 @@ class TestExactSolve:
 
     def test_residual_bound(self):
         model, y, z, p = make_instance(9, 6, 3)
-        u = tikhonov_exact(z, model, y, p)
+        u = _tikhonov_direct_with_factor(z, model, y, p)[0]
         az = model.dense_a() * z[None, :]
         g = az.T @ az + np.linalg.inv(p.materialize())
         rhs = az.T @ y
@@ -187,7 +187,7 @@ class TestExactSolve:
     def test_unique_minimizer(self):
         model, y, z, p = make_instance(5, 8, 4)
         rng = np.random.default_rng(5)
-        u_star = tikhonov_exact(z, model, y, p)
+        u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
         f_star = u_objective(u_star, z, model, y, p)
         for _ in range(100):
             delta = rng.standard_normal(8) * rng.uniform(1e-4, 1.0)
@@ -200,8 +200,8 @@ class TestWoodbury:
     def test_matches_exact(self, kind):
         for seed in range(25):
             model, y, z, p = make_instance(6, 14, 100 + seed, kind)
-            ue = tikhonov_exact(z, model, y, p)
-            uw = tikhonov_woodbury(z, model, y, p)
+            ue = _tikhonov_direct_with_factor(z, model, y, p)[0]
+            uw = _tikhonov_woodbury_with_factor(z, model, y, p)[0]
             assert np.linalg.norm(ue - uw) <= 1e-8 * max(np.linalg.norm(ue), 1e-30)
 
     def test_scalar_measurement(self):
@@ -212,13 +212,13 @@ class TestWoodbury:
         p = CovarianceParam.scaled_identity(5, 0.8)
         a_row = model.dense_a().ravel() * z
         expect = 0.8 * a_row * y[0] / (1.0 + 0.8 * float(a_row @ a_row))
-        assert tikhonov_woodbury(z, model, y, p) == pytest.approx(
-            expect.ravel(), rel=1e-12)
+        u = _tikhonov_woodbury_with_factor(z, model, y, p)[0]
+        assert u == pytest.approx(expect.ravel(), rel=1e-12)
 
     def test_zero_scales(self):
         model, y, _, p = make_instance(4, 7, 7)
-        assert tikhonov_woodbury(np.zeros(7), model, y, p) == pytest.approx(
-            np.zeros(7), abs=1e-14)
+        u = _tikhonov_woodbury_with_factor(np.zeros(7), model, y, p)[0]
+        assert u == pytest.approx(np.zeros(7), abs=1e-14)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_sparse_radon_matches_exact(self, kind):
@@ -228,8 +228,8 @@ class TestWoodbury:
         y = rng.standard_normal(model.m)
         z = rng.uniform(0.2, 2.0, model.n)
         p = random_cov(kind, model.n, rng)
-        ue = tikhonov_exact(z, model, y, p)
-        uw = tikhonov_woodbury(z, model, y, p)
+        ue = _tikhonov_direct_with_factor(z, model, y, p)[0]
+        uw = _tikhonov_woodbury_with_factor(z, model, y, p)[0]
         assert np.linalg.norm(ue - uw) <= 1e-10 * np.linalg.norm(ue)
 
     @pytest.mark.parametrize("psi,kind,builds", [
@@ -328,10 +328,11 @@ class TestLiveRows:
 
     def test_solution_matches_exact_and_full_system(self, radon):
         model, z, y, p, _ = radon
-        u = tikhonov_woodbury(z, model, y, p)
+        u = _tikhonov_woodbury_with_factor(z, model, y, p)[0]
         full = p.diag_values() * z * model.adjoint(
             np.linalg.solve(self.full_system(z, model, p), y))
-        for expect in (tikhonov_exact(z, model, y, p), full):
+        exact = _tikhonov_direct_with_factor(z, model, y, p)[0]
+        for expect in (exact, full):
             assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_adjoint_matches_exact_and_full_system(self, radon):
@@ -436,7 +437,7 @@ class TestLipschitzEstimate:
 class TestGradientStep:
     def test_fixed_point_at_solution(self):
         model, y, z, p = make_instance(6, 9, 8)
-        u_star = tikhonov_exact(z, model, y, p)
+        u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
         u_next = r_u_step(u_star, z, model, y, p, eta=0.01)
         assert np.linalg.norm(u_next - u_star) < 1e-8
 
@@ -474,20 +475,20 @@ class TestNagd:
     def test_hundred_steps_match_exact(self):
         for seed in range(10):
             model, y, z, p = self.well_conditioned(seed)
-            u_star = tikhonov_exact(z, model, y, p)
+            u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
             u = tikhonov_nagd(np.zeros(16), z, model, y, p, NagdConfig(steps=100))
             assert np.linalg.norm(u - u_star) <= 1e-4 * np.linalg.norm(u_star)
 
     def test_exact_start_is_fixed(self):
         model, y, z, p = self.well_conditioned(3)
-        u_star = tikhonov_exact(z, model, y, p)
+        u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
         u = tikhonov_nagd(u_star, z, model, y, p, NagdConfig(steps=25))
         assert np.linalg.norm(u - u_star) <= 1e-8 * max(np.linalg.norm(u_star), 1.0)
 
     def test_error_decays_with_steps(self):
         for seed in range(5):
             model, y, z, p = self.well_conditioned(20 + seed)
-            u_star = tikhonov_exact(z, model, y, p)
+            u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
             e10 = np.linalg.norm(
                 tikhonov_nagd(np.zeros(16), z, model, y, p, NagdConfig(steps=10))
                 - u_star)
@@ -509,7 +510,7 @@ class TestNagd:
         # robust across instances: gap_j <= C * gap_0 / (j+2)^2
         for seed in range(10):
             model, y, z, p = self.well_conditioned(seed)
-            u_star = tikhonov_exact(z, model, y, p)
+            u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
             f_star = u_objective(u_star, z, model, y, p)
             _, trace, _ = tikhonov_nagd(np.zeros(16), z, model, y, p,
                                         NagdConfig(steps=60), want_trace=True)
