@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import config as cfgmod
-from .data_metrics import gen_dataset, load_dataset, psnr, save_dataset, ssim
+from .data_metrics import (fingerprint, gen_dataset, load_dataset, psnr,
+                           save_dataset, ssim)
 from .drcgnet import forward, load_checkpoint, mae, param_count, save_checkpoint, train
 from .errors import CgInvertError, ConfigError, DataError, NumericalError
 from .gcgls import diagnostics, solve
@@ -50,14 +51,26 @@ def _load_cfg(args):
     return cfg
 
 
-def _check_fingerprint(model, ds):
-    from .data_metrics import fingerprint
-
+def _load_run(args):
+    """(config, sensing model, dataset) of a command that reads --dataset;
+    a dataset made with another sensing model is a DataError."""
+    cfg = _load_cfg(args)
+    model = cfgmod.build_model(cfg)
+    ds = load_dataset(args.dataset)
     fp = fingerprint(model.fingerprint_config())
     if fp != ds.model_fingerprint:
         raise DataError(
             f"dataset fingerprint {ds.model_fingerprint} does not match the "
             f"configured sensing model {fp}")
+    return cfg, model, ds
+
+
+def _write_csv(path, header, rows):
+    """Write the header line, then each row's values joined by commas."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _image_domain(model, c):
@@ -93,47 +106,29 @@ def _solve_one(i, pair, model, p, r, scfg, out_dir, repro):
     write_pgm(os.path.join(out_dir, f"c_{i}.pgm"),
               np.clip(s_hat, 0.0, 1.0).reshape(side, side))
     rep.c_star.astype("<f8").tofile(os.path.join(out_dir, f"c_{i}.f64"))
-    with open(os.path.join(out_dir, f"trace_{i}.csv"), "w") as fh:
-        fh.write("iter,block,F,step_norm,eta\n")
-        for t in rep.state.trace:
-            fh.write(f"{t.index},{t.block},{_fmt(t.f_value)},"
-                     f"{_fmt(t.step_norm)},{_fmt(t.eta)}\n")
-    return {
-        "id": i,
-        "psnr": psnr(s_hat, s_true),
-        "ssim": ssim(s_hat, s_true),
-        "F_final": rep.f_final,
-        "stationarity_u": rep.stationarity_u,
-        "stationarity_z": rep.stationarity_z.absolute,
-        "iters": rep.iterations,
-        "seconds": seconds,
-    }
+    _write_csv(os.path.join(out_dir, f"trace_{i}.csv"),
+               "iter,block,F,step_norm,eta",
+               [(t.index, t.block, t.f_value, t.step_norm, t.eta)
+                for t in rep.state.trace])
+    return (i, psnr(s_hat, s_true), ssim(s_hat, s_true), rep.f_final,
+            rep.stationarity_u, rep.stationarity_z.absolute, rep.iterations,
+            seconds)
 
 
 def cmd_solve(args):
-    cfg = _load_cfg(args)
-    model = cfgmod.build_model(cfg)
-    ds = load_dataset(args.dataset)
-    _check_fingerprint(model, ds)
-    p = cfgmod.build_covariance(cfg, model.n)
-    r = cfgmod.build_regularizer(cfg)
-    scfg = cfgmod.build_solver_config(cfg)
+    cfg, model, ds = _load_run(args)
+    p, r, scfg = cfgmod.build_solver(cfg, model.n)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     os.makedirs(args.out, exist_ok=True)
 
     worker = lambda i: _solve_one(i, ds.pairs[i], model, p, r, scfg,
                                   args.out, args.repro)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(worker, range(len(ds))))
-    else:
-        rows = [worker(i) for i in range(len(ds))]
-
-    cols = ["id", "psnr", "ssim", "F_final", "stationarity_u",
-            "stationarity_z", "iters", "seconds"]
-    with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in sorted(rows, key=lambda r: r["id"]):
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(worker, range(len(ds))))
+    _write_csv(os.path.join(args.out, "metrics.csv"),
+               "id,psnr,ssim,F_final,stationarity_u,stationarity_z,iters,seconds",
+               rows)
     print(f"solved {len(ds)} samples -> {args.out}/metrics.csv")
     return 0
 
@@ -152,10 +147,7 @@ def _split_validation(ds, fraction):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
-    model = cfgmod.build_model(cfg)
-    ds = load_dataset(args.dataset)
-    _check_fingerprint(model, ds)
+    cfg, model, ds = _load_run(args)
     net_cfg = cfgmod.build_net_config(cfg)
     train_cfg = cfgmod.build_train_config(cfg)
     params = cfgmod.build_init_params(cfg, net_cfg, model.n)
@@ -169,21 +161,18 @@ def cmd_train(args):
     save_checkpoint(args.out, params, train_cfg=train_cfg,
                     epoch=len(history["train_mae"]), losses=losses,
                     extra={"model_fingerprint": ds.model_fingerprint})
-    with open(os.path.join(args.out, "loss_history.csv"), "w") as fh:
-        fh.write("epoch,train_mae,val_mae\n")
-        for e, tm in enumerate(history["train_mae"]):
-            vm = history["val_mae"][e] if e < len(history["val_mae"]) else ""
-            fh.write(f"{e},{_fmt(tm)},{_fmt(vm) if vm != '' else ''}\n")
+    val = history["val_mae"]
+    _write_csv(os.path.join(args.out, "loss_history.csv"),
+               "epoch,train_mae,val_mae",
+               [(e, tm, val[e] if e < len(val) else "")
+                for e, tm in enumerate(history["train_mae"])])
     print(f"trained {len(history['train_mae'])} epochs; last epoch's mean batch "
           f"MAE {history['train_mae'][-1]:.6g} -> {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg = _load_cfg(args)
-    model = cfgmod.build_model(cfg)
-    ds = load_dataset(args.dataset)
-    _check_fingerprint(model, ds)
+    cfg, model, ds = _load_run(args)
     params, manifest = load_checkpoint(args.checkpoint)
     net_cfg = cfgmod.build_net_config(cfg)
     if manifest["net"] != net_cfg.to_dict():
@@ -202,50 +191,22 @@ def cmd_eval(args):
             raise NumericalError(f"network output for sample {i} is not finite")
         s_hat = _image_domain(model, c_hat)
         s_true = _image_domain(model, c_true)
-        rows.append({
-            "id": i,
-            "psnr": psnr(s_hat, s_true),
-            "ssim": ssim(s_hat, s_true),
-            "mae": mae(c_hat, c_true),
-        })
-    with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
-        fh.write("id,psnr,ssim,mae\n")
-        for row in rows:
-            fh.write(f"{row['id']},{_fmt(row['psnr'])},{_fmt(row['ssim'])},"
-                     f"{_fmt(row['mae'])}\n")
-    avg_mae = float(np.mean([r["mae"] for r in rows]))
+        rows.append((i, psnr(s_hat, s_true), ssim(s_hat, s_true),
+                     mae(c_hat, c_true)))
+    _write_csv(os.path.join(args.out, "metrics.csv"), "id,psnr,ssim,mae", rows)
+    avg_mae = float(np.mean([row[-1] for row in rows]))
     print(f"eval MAE {avg_mae!r} over {len(rows)} samples -> {args.out}/metrics.csv")
     return 0
 
 
 def cmd_diagnose(args):
-    cfg = _load_cfg(args)
-    model = cfgmod.build_model(cfg)
-    ds = load_dataset(args.dataset)
-    _check_fingerprint(model, ds)
-    p = cfgmod.build_covariance(cfg, model.n)
-    r = cfgmod.build_regularizer(cfg)
-    scfg = cfgmod.build_solver_config(cfg)
+    cfg, model, ds = _load_run(args)
+    p, r, scfg = cfgmod.build_solver(cfg, model.n)
     if not 0 <= args.index < len(ds):
         raise ConfigError(f"--index {args.index} is outside [0, {len(ds)})")
     y, _ = ds.pairs[args.index]
-    rep = solve(model, y, p, r, scfg)
-    summ = diagnostics(rep)
-    out = {
-        "f_init": rep.f_init,
-        "f_final": rep.f_final,
-        "iterations": rep.iterations,
-        "final_grad_u_norm": summ.final_grad_u_norm,
-        "final_z_residual_abs": summ.final_z_residual.absolute,
-        "final_z_residual_rel": summ.final_z_residual.relative,
-        "telescoping_lhs": summ.telescoping_lhs,
-        "telescoping_rhs": summ.telescoping_rhs,
-        "telescoping_holds": summ.telescoping_holds,
-        "worst_margin": min(summ.margins) if summ.margins else None,
-        "z_steps": len(summ.z_records),
-        "u_steps": len(summ.u_records),
-    }
-    text = json.dumps(out, indent=1, sort_keys=True)
+    text = json.dumps(diagnostics(solve(model, y, p, r, scfg)), indent=1,
+                      sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

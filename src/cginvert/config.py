@@ -6,6 +6,9 @@ data.*.  Unknown keys are rejected by name; CLI --set overrides file values.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import fields
+
 from .covariance import DEFAULT_EPS, CovarianceParam
 from .drcgnet.params import NetConfig, TrainConfig, init_params
 from .errors import ConfigError
@@ -15,9 +18,17 @@ from .scale_step import LinesearchConfig
 from .sensing import SensingModel, build_dct, build_gaussian, build_radon
 from .tikhonov import NagdConfig
 
-__all__ = ["RunConfig", "build_model", "build_regularizer", "build_covariance",
-           "build_solver_config", "build_net_config", "build_train_config",
-           "build_init_params"]
+__all__ = ["RunConfig", "build_model", "build_solver", "build_net_config",
+           "build_train_config", "build_init_params"]
+
+
+@contextmanager
+def _config_errors():
+    """Re-raise a library ValueError as a ConfigError with its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _bool(s):
@@ -152,7 +163,7 @@ def build_model(cfg):
     scale = cfg.get("sensing.scale")
     if not 0.0 < abs(scale) < float("inf"):
         raise ConfigError(f"sensing.scale must be finite and nonzero, got {scale:g}")
-    try:
+    with _config_errors():
         if kind == "radon":
             base = build_radon(side, cfg.get("sensing.angles"))
         elif kind == "gaussian":
@@ -162,8 +173,6 @@ def build_model(cfg):
             base = build_gaussian(m, n, cfg.get("sensing.seed"))
         else:
             raise ConfigError(f"unknown sensing.kind: {kind}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     psi = base.psi
     meta = dict(base.meta)
     if scale != 1.0:
@@ -180,30 +189,24 @@ def build_model(cfg):
     return SensingModel(psi, phi=phi, side=side, meta=meta)
 
 
-def build_regularizer(cfg):
-    kind = cfg.get("reg.kind")
-    if kind == "logsq":
-        try:
-            return ScaleRegularizer.log_squared(cfg.get("reg.mu"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if kind == "zero":
-        return ScaleRegularizer.zero()
-    raise ConfigError(f"unknown reg.kind: {kind}")
-
-
-def build_covariance(cfg, n):
-    kind = cfg.get("solver.cov")
-    value = cfg.get("solver.cov_value")
-    try:
-        return CovarianceParam.init_default(kind, n, value, eps=cfg.get("solver.eps"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def build_solver_config(cfg):
-    try:
-        return SolverConfig(
+def build_solver(cfg, n):
+    """(covariance, regularizer, SolverConfig) of a solver run on signals of
+    size n, checked in that order.  A covariance value <= 0 is rejected
+    after the kind and floor checks."""
+    with _config_errors():
+        value = cfg.get("solver.cov_value")
+        p = CovarianceParam.init_default(cfg.get("solver.cov"), n, value,
+                                         eps=cfg.get("solver.eps"))
+        if value <= 0:
+            raise ConfigError(f"solver.cov_value must be > 0, got {value!r}")
+        kind = cfg.get("reg.kind")
+        if kind == "logsq":
+            r = ScaleRegularizer.log_squared(cfg.get("reg.mu"))
+        elif kind == "zero":
+            r = ScaleRegularizer.zero()
+        else:
+            raise ConfigError(f"unknown reg.kind: {kind}")
+        scfg = SolverConfig(
             K=cfg.get("solver.K"),
             J=cfg.get("solver.J"),
             b=cfg.get("solver.b"),
@@ -218,59 +221,43 @@ def build_solver_config(cfg):
             ),
             stop_tol=cfg.get("solver.stop_tol"),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return p, r, scfg
+
+
+def _field_key(section, name):
+    """Registry key of a NetConfig (section "net") or TrainConfig ("train")
+    field: <section>.<name>, except net.cov for cov_kind."""
+    return f"{section}.{'cov' if name == 'cov_kind' else name}"
+
+
+def _from_fields(cls, section, cfg):
+    with _config_errors():
+        return cls(**{f.name: cfg.get(_field_key(section, f.name))
+                      for f in fields(cls)})
 
 
 def build_net_config(cfg):
-    try:
-        return NetConfig(
-            K=cfg.get("net.K"),
-            J=cfg.get("net.J"),
-            depth=cfg.get("net.depth"),
-            kernel=cfg.get("net.kernel"),
-            channels=tuple(cfg.get("net.channels")),
-            variant=cfg.get("net.variant"),
-            cov_kind=cfg.get("net.cov"),
-            gamma_max=cfg.get("net.gamma_max"),
-            b=cfg.get("net.b"),
-            u_mode=cfg.get("net.u_mode"),
-            nagd_steps=cfg.get("net.nagd_steps"),
-            nagd_eta=cfg.get("net.nagd_eta"),
-            refine=cfg.get("net.refine"),
-            eps=cfg.get("net.eps"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return _from_fields(NetConfig, "net", cfg)
 
 
 def build_train_config(cfg):
     # train() accepts zero epochs, but the command reports the last epoch's loss
     if cfg.get("train.epochs") < 1:
         raise ConfigError("train.epochs must be >= 1")
-    try:
-        return TrainConfig(
-            lr=cfg.get("train.lr"),
-            epochs=cfg.get("train.epochs"),
-            batch=cfg.get("train.batch"),
-            beta1=cfg.get("train.beta1"),
-            beta2=cfg.get("train.beta2"),
-            eps_adam=cfg.get("train.eps_adam"),
-            seed=cfg.get("train.seed"),
-            patience=cfg.get("train.patience"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return _from_fields(TrainConfig, "train", cfg)
 
 
 def build_init_params(cfg, net_cfg, n):
     """Fresh network parameters seeded by train.seed, with the covariance at
     net.cov_init * I: by default 0.1 for the Radon operator and 10 for
-    Gaussian sensing."""
+    Gaussian sensing.  A net.cov_init <= 0 is rejected after the floor
+    checks."""
     cov_init = cfg.get("net.cov_init")
     if cov_init is None:
         cov_init = 0.1 if cfg.get("sensing.kind") == "radon" else 10.0
-    try:
-        return init_params(net_cfg, n, seed=cfg.get("train.seed"), cov_init=cov_init)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _config_errors():
+        params = init_params(net_cfg, n, seed=cfg.get("train.seed"),
+                             cov_init=cov_init)
+    if cov_init <= 0:
+        raise ConfigError(f"net.cov_init must be > 0, got {cov_init!r}")
+    return params

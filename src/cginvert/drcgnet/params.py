@@ -132,13 +132,13 @@ def param_count(cfg, n):
 
 
 class NetParams:
-    """Dict-of-arrays parameter store with a canonical flattening order."""
+    """Dict-of-arrays parameter store; the dict's key order is the canonical
+    flattening order."""
 
     def __init__(self, cfg, n, values):
         self.cfg = cfg
         self.n = n
         self.values = values
-        self.order = list(values.keys())
 
     def cov(self):
         return CovarianceParam(self.cfg.cov_kind, self.n, self.values, self.cfg.eps)
@@ -154,9 +154,6 @@ class NetParams:
 
     def delta_refine(self):
         return float(self.values["delta.refine"])
-
-    def total_scalars(self):
-        return sum(v.size for v in self.values.values())
 
     def zero_grads(self):
         return {k: np.zeros_like(v) for k, v in self.values.items()}
@@ -194,8 +191,8 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
     manifest = {
         "net": params.cfg.to_dict(),
         "n": params.n,
-        "order": params.order,
-        "shapes": {k: list(params.values[k].shape) for k in params.order},
+        "order": list(params.values),
+        "shapes": {k: list(v.shape) for k, v in params.values.items()},
         "epoch": epoch,
         "losses": losses or {},
     }
@@ -205,7 +202,7 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
         manifest.update(extra)
     with open(os.path.join(path_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    blob = np.concatenate([params.values[k].ravel() for k in params.order])
+    blob = np.concatenate([v.ravel() for v in params.values.values()])
     blob.astype("<f8").tofile(os.path.join(path_dir, "params.bin"))
 
 

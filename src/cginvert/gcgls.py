@@ -26,7 +26,6 @@ from .tikhonov import NagdConfig, grad_u, tikhonov_nagd, tikhonov_solve
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "DiagnosticsSummary",
     "initial_scale",
     "solve",
     "diagnostics",
@@ -180,36 +179,29 @@ def solve(model, y, p, r, cfg):
     )
 
 
-@dataclass
-class DiagnosticsSummary:
-    z_records: list
-    u_records: list
-    margins: list          # decrease - c * ||dz||^2 per z step (>= -1e-10)
-    final_grad_u_norm: float
-    final_z_residual: StationarityResidual
-    telescoping_lhs: float
-    telescoping_rhs: float
-    telescoping_holds: bool
-
-
 def diagnostics(report):
-    """Summarize per-step sufficient-decrease margins and descent bounds.
+    """The run's convergence record, as cginvert diagnose writes it.
 
-    The cumulative bound sums c_j * ||dz_j||^2 over all z steps and checks it
-    never exceeds the total cost drop from the initial point.
+    worst_margin is the least sufficient-decrease margin, decrease -
+    c * ||dz||^2, over the z steps (None without z steps).  The telescoping
+    bound sums c_j * ||dz_j||^2 over all z steps and checks it never exceeds
+    the total cost drop from the initial point.
     """
     zrec = [t for t in report.state.trace if t.block == "z"]
-    urec = [t for t in report.state.trace if t.block == "u"]
-    margins = [t.decrease - t.margin_c * t.step_norm ** 2 for t in zrec]
     lhs = float(sum(t.margin_c * t.step_norm ** 2 for t in zrec))
     rhs = report.f_init - report.f_final
-    return DiagnosticsSummary(
-        z_records=zrec,
-        u_records=urec,
-        margins=margins,
-        final_grad_u_norm=report.stationarity_u,
-        final_z_residual=report.stationarity_z,
-        telescoping_lhs=lhs,
-        telescoping_rhs=rhs,
-        telescoping_holds=lhs <= rhs + 1e-8,
-    )
+    return {
+        "f_init": report.f_init,
+        "f_final": report.f_final,
+        "iterations": report.iterations,
+        "final_grad_u_norm": report.stationarity_u,
+        "final_z_residual_abs": report.stationarity_z.absolute,
+        "final_z_residual_rel": report.stationarity_z.relative,
+        "telescoping_lhs": lhs,
+        "telescoping_rhs": rhs,
+        "telescoping_holds": lhs <= rhs + 1e-8,
+        "worst_margin": min((t.decrease - t.margin_c * t.step_norm ** 2
+                             for t in zrec), default=None),
+        "z_steps": len(zrec),
+        "u_steps": sum(t.block == "u" for t in report.state.trace),
+    }

@@ -117,10 +117,11 @@ class SensingModel:
         It depends on Psi alone: the symbolic half of forming the Woodbury
         system, one O(sum_k nnz(Psi[:, k])^2) pass instead of a sparse-sparse
         product per call.  Nothing is sorted: a row's rank among the live
-        rows and a position's rank among the triangle's nonzeros are cumsums
-        of marks (m bools, then r^2 bools: 1/8 of the r x r float64 system
-        the u-update fills), and gram is laid out by pixel, in the order the
-        pairs are made, so its CSR form is one transpose.
+        rows is a cumsum of m bool marks; the triangle's nonzero positions
+        are marked in r^2 bools (1/8 of the r x r float64 system the
+        u-update fills) and ranked by scattering 0, 1, ... onto them; and
+        gram is laid out by pixel, in the order the pairs are made, so its
+        CSR form is one transpose.
         """
         if self._gram_map is None:
             csc = self.psi.tocsc(copy=True)
@@ -141,7 +142,9 @@ class SensingModel:
             mark = np.zeros(live.size * live.size, dtype=bool)
             mark[key] = True
             flat = np.flatnonzero(mark)
-            slot = (np.cumsum(mark) - 1)[key]
+            rank = np.empty(mark.size, dtype=np.intp)
+            rank[flat] = np.arange(flat.size)
+            slot = rank[key]
             # column k of gram holds the counts[k] (counts[k] + 1) / 2 pairs
             # of Psi's column k
             indptr = np.concatenate(([0], np.cumsum(counts * (counts + 1) // 2)))

@@ -224,6 +224,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command,sets,expect", [
         ("solve", ["solver.cov_value=nan"], "finite"),
         ("train", ["net.cov_init=nan"], "finite"),
+        ("solve", ["solver.cov_value=-1"], "solver.cov_value must be > 0"),
+        ("solve", ["solver.cov_value=0"], "solver.cov_value must be > 0"),
+        ("train", ["net.cov_init=-1"], "net.cov_init must be > 0"),
+        ("train", ["net.cov_init=0"], "net.cov_init must be > 0"),
         ("train", ["net.eps=0", "net.cov_init=0"], "eps"),
         ("solve", ["solver.eps=0", "solver.cov_value=0"], "eps"),
         ("solve", ["solver.eps=-1"], "eps"),
@@ -252,7 +256,8 @@ class TestMalformedInput:
         ("train", ["net.channels=0,1"], "channel widths must be >= 1"),
         ("train", ["net.kernel=-1"], "kernel size must be odd and >= 1"),
         ("train", ["net.depth=0", "net.channels="], "depth must be >= 1"),
-    ], ids=["cov_value-nan", "cov_init-nan", "net-eps-0", "solver-eps-0",
+    ], ids=["cov_value-nan", "cov_init-nan", "cov_value-negative",
+            "cov_value-0", "cov_init-negative", "cov_init-0", "net-eps-0", "solver-eps-0",
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
@@ -356,6 +361,14 @@ class TestMalformedInput:
             capsys, command, "--config", cfg_path, "--set", "train.epochs=1",
             "--dataset", str(ds), *extra, "--out", str(tmp_path / "out"))
         assert code == 3 and "no samples" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_solve_jobs_below_one(self, cfg_path, tmp_path, capsys, jobs):
+        ds = self.gen(cfg_path, tmp_path)
+        code, err = self.one_line_error(
+            capsys, "solve", "--config", cfg_path, "--dataset", str(ds),
+            "--out", str(tmp_path / "out"), "--jobs", jobs)
+        assert code == 2 and f"--jobs must be >= 1, got {jobs}" in err
 
     @pytest.mark.parametrize("index", ["3", "99", "-1"])
     def test_diagnose_index_out_of_range(self, cfg_path, tmp_path, capsys, index):

@@ -458,7 +458,7 @@ class TestParamCount:
             )
             n = int(rng.choice([4, 9, 16]))
             params = init_params(cfg, n, seed=1)
-            assert params.total_scalars() == param_count(cfg, n)
+            assert sum(v.size for v in params.values.values()) == param_count(cfg, n)
 
     def test_cov_dimension_choices(self):
         base = dict(K=1, J=1, depth=1, kernel=1, channels=(1,))
