@@ -38,7 +38,12 @@ def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CG_INVERT_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"CG_INVERT_SEED must be an integer, got {env!r}") from None
 
 
 def _load_cfg(args):
@@ -108,8 +113,8 @@ def _solve_one(i, pair, model, p, r, scfg, out_dir, repro):
     rep.c_star.astype("<f8").tofile(os.path.join(out_dir, f"c_{i}.f64"))
     _write_csv(os.path.join(out_dir, f"trace_{i}.csv"),
                "iter,block,F,step_norm,eta",
-               [(t.index, t.block, t.f_value, t.step_norm, t.eta)
-                for t in rep.state.trace])
+               [(it, t.block, t.f_value, t.step_norm, t.eta)
+                for it, t in enumerate(rep.state.trace)])
     return (i, psnr(s_hat, s_true), ssim(s_hat, s_true), rep.f_final,
             rep.stationarity_u, rep.stationarity_z.absolute, rep.iterations,
             seconds)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NonMonotoneCostError
-from .regularizer import CGState, TraceRecord, cost
+from .regularizer import cost
 from .scale_step import (
     LinesearchConfig,
     StationarityResidual,
@@ -25,6 +25,8 @@ from .tikhonov import NagdConfig, grad_u, tikhonov_nagd, tikhonov_solve
 
 __all__ = [
     "SolverConfig",
+    "TraceRecord",
+    "CGState",
     "SolveReport",
     "initial_scale",
     "solve",
@@ -64,11 +66,32 @@ class SolverConfig:
 
 
 @dataclass
+class TraceRecord:
+    """One per-block record of the solver trace; its position in the trace
+    is its index."""
+
+    block: str           # "init" | "z" | "u"
+    f_value: float
+    step_norm: float
+    eta: float
+    decrease: float      # F before the block minus F after
+    margin_c: float      # sufficient-decrease constant claimed for this step
+
+
+@dataclass
+class CGState:
+    """The final iterate pair (u, z) plus the per-block trace."""
+
+    u: np.ndarray
+    z: np.ndarray
+    trace: list
+
+
+@dataclass
 class SolveReport:
     c_star: np.ndarray
     state: CGState
-    converged: bool
-    stop_reason: str
+    stop_reason: str         # "tolerance" | "iterations"
     f_init: float
     f_final: float
     stationarity_u: float
@@ -103,78 +126,55 @@ def solve(model, y, p, r, cfg):
         raise DataError("measurements y hold non-finite values")
     step = pgd_step if cfg.zstep_method == "pgd" else ista_step
 
+    # entries of the clamp below R's floor (eps_z for logsq, 0 for zero) are lifted
     z = initial_scale(model, y, cfg.b)
-    lifted = 0
-    if r.open_domain:
-        mask = z < r.floor
-        lifted = int(mask.sum())
-        if lifted:
-            z = np.where(mask, r.floor, z)
+    lifted = int((z < r.floor).sum())
+    z = r.project(z)
     u = _u_update(np.zeros(model.n), z, model, y, p, cfg)
 
-    f_prev = cost(u, z, model, y, p, r)
-    state = CGState(u=u, z=z, trace=[])
-    state.trace.append(TraceRecord(0, "init", 0, 0, f_prev, float("nan"),
-                                   float("nan"), 0.0, 0.0))
-    f_init = f_prev
-
-    idx = 0
+    f = f_init = cost(u, z, model, y, p, r)
+    trace = [TraceRecord("init", f, float("nan"), float("nan"), 0.0, 0.0)]
     stop_reason = "iterations"
-    converged = False
-    iterations = 0
     for k in range(1, cfg.K + 1):
+        dz = []
         for j in range(1, cfg.J + 1):
-            z_new, eta = step(state.z, state.u, model, y, r, cfg.linesearch)
-            f_now = cost(state.u, z_new, model, y, p, r)
-            if not (f_now <= f_prev + COST_INCREASE_TOL):
+            z_new, eta = step(z, u, model, y, r, cfg.linesearch)
+            f_now = cost(u, z_new, model, y, p, r)
+            if not (f_now <= f + COST_INCREASE_TOL):
                 raise NonMonotoneCostError(
-                    f"cost rose by {f_now - f_prev:.3e} on z step k={k}, j={j}"
+                    f"cost rose by {f_now - f:.3e} on z step k={k}, j={j}"
                 )
-            idx += 1
-            state.trace.append(TraceRecord(
-                idx, "z", k, j, f_now,
-                float(np.linalg.norm(z_new - state.z)), eta,
-                f_prev - f_now,
+            dz.append(float(np.linalg.norm(z_new - z)))
+            trace.append(TraceRecord(
+                "z", f_now, dz[-1], eta, f - f_now,
                 _margin_constant(cfg.zstep_method, cfg.linesearch, eta),
             ))
-            state.z = z_new
-            f_prev = f_now
+            z, f = z_new, f_now
 
-        u_new = _u_update(state.u, state.z, model, y, p, cfg)
-        f_now = cost(u_new, state.z, model, y, p, r)
-        if not (f_now <= f_prev + COST_INCREASE_TOL):
+        u_new = _u_update(u, z, model, y, p, cfg)
+        f_now = cost(u_new, z, model, y, p, r)
+        if not (f_now <= f + COST_INCREASE_TOL):
             raise NonMonotoneCostError(
-                f"cost rose by {f_now - f_prev:.3e} on u step k={k}"
+                f"cost rose by {f_now - f:.3e} on u step k={k}"
             )
-        du = float(np.linalg.norm(u_new - state.u))
-        idx += 1
-        state.trace.append(TraceRecord(idx, "u", k, 0, f_now, du,
-                                       float("nan"), f_prev - f_now, 0.0))
-        state.u = u_new
-        f_prev = f_now
-        iterations = k
+        du = float(np.linalg.norm(u_new - u))
+        trace.append(TraceRecord("u", f_now, du, float("nan"), f - f_now, 0.0))
+        u, f = u_new, f_now
 
         # combined step norm over the whole outer iteration
-        z_steps = [t.step_norm for t in state.trace[-(cfg.J + 1):-1]]
-        combined = float(np.hypot(np.linalg.norm(z_steps), du))
-        if cfg.stop_tol > 0.0 and combined < cfg.stop_tol:
-            converged = True
+        if cfg.stop_tol > 0.0 and np.hypot(np.linalg.norm(dz), du) < cfg.stop_tol:
             stop_reason = "tolerance"
             break
 
-    stat_u = float(np.linalg.norm(grad_u(state.u, state.z, model, y, p)))
-    stat_z = stationarity_residual(state.z, state.u, model, y, r,
-                                   eta_probe=1.0, method=cfg.zstep_method)
     return SolveReport(
-        c_star=state.z * state.u,
-        state=state,
-        converged=converged,
+        c_star=z * u,
+        state=CGState(u=u, z=z, trace=trace),
         stop_reason=stop_reason,
         f_init=f_init,
-        f_final=f_prev,
-        stationarity_u=stat_u,
-        stationarity_z=stat_z,
-        iterations=iterations,
+        f_final=f,
+        stationarity_u=float(np.linalg.norm(grad_u(u, z, model, y, p))),
+        stationarity_z=stationarity_residual(z, u, model, y, r, 1.0, step),
+        iterations=k,
         z0_lifted=lifted,
     )
 

@@ -31,6 +31,14 @@ def _pgm_tokens(data):
         yield data[start:i], i
 
 
+def _pgm_ints(path, what, tokens):
+    """The tokens as ints; a token that is not an integer is a DataError."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise DataError(f"{path}: non-integer PGM {what} token") from None
+
+
 def read_pgm(path):
     """Load a P2/P5 PGM file as a float image in [0, 1]."""
     with open(path, "rb") as fh:
@@ -42,9 +50,11 @@ def read_pgm(path):
     except StopIteration:
         raise DataError(f"{path}: truncated PGM header")
     magic = magic.decode()
-    w, h, maxval = int(w), int(h), int(maxval)
+    w, h, maxval = _pgm_ints(path, "header", (w, h, maxval))
     if magic not in ("P2", "P5"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad size {w}x{h}")
     if maxval <= 0:
         raise DataError(f"{path}: bad maxval {maxval}")
     if magic == "P5":
@@ -55,7 +65,7 @@ def read_pgm(path):
                             f"{len(raw) // dtype.itemsize}")
         img = np.frombuffer(raw, dtype=dtype, count=w * h).astype(np.float64)
     else:
-        vals = [int(t) for t, _ in _pgm_tokens(data[end:])]
+        vals = _pgm_ints(path, "pixel", (t for t, _ in _pgm_tokens(data[end:])))
         if len(vals) < w * h:
             raise DataError(f"{path}: expected {w * h} pixels, got {len(vals)}")
         img = np.array(vals[: w * h], dtype=np.float64)

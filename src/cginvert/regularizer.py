@@ -11,7 +11,7 @@ R(z) = mu * sum_i log(z_i)^2 on (0, inf)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .errors import DomainError
 
 __all__ = [
     "ScaleRegularizer",
-    "CGState",
-    "TraceRecord",
     "cost",
     "data_misfit",
     "grad_z_datafit",
@@ -34,26 +32,27 @@ DEFAULT_FLOOR = 1e-8
 class ScaleRegularizer:
     """R(z): value, gradient, proximal map, and its domain handling.
 
-    kind "logsq" lives on the open orthant and uses floor eps_z for
-    projections onto its closure; kind "zero" lives on [0, inf)^n.
+    kind "logsq" lives on the open orthant and uses the floor eps_z =
+    DEFAULT_FLOOR for projections onto its closure; kind "zero" lives on
+    [0, inf)^n, floor 0.
     """
 
-    def __init__(self, kind, mu=1.0, floor=DEFAULT_FLOOR):
+    def __init__(self, kind, mu=1.0):
         if kind not in ("logsq", "zero"):
             raise ValueError(f"unknown regularizer kind {kind!r}")
         if kind == "logsq" and not 0 < mu < math.inf:
             raise ValueError(f"logsq needs a finite mu > 0, got {mu!r}")
         self.kind = kind
         self.mu = float(mu)
-        self.floor = float(floor)
+        self.floor = DEFAULT_FLOOR if kind == "logsq" else 0.0
 
     @classmethod
-    def log_squared(cls, mu=1.0, floor=DEFAULT_FLOOR):
-        return cls("logsq", mu=mu, floor=floor)
+    def log_squared(cls, mu=1.0):
+        return cls("logsq", mu=mu)
 
     @classmethod
     def zero(cls):
-        return cls("zero", mu=0.0, floor=0.0)
+        return cls("zero", mu=0.0)
 
     @property
     def open_domain(self):
@@ -180,30 +179,6 @@ def _prox_log_squared(v, a, tol=1e-13):
         ta = np.where(bad, 0.5 * (t_lo + t_hi), cand)
         t[act] = ta
     return t
-
-
-@dataclass
-class TraceRecord:
-    """One per-block record of the solver trace."""
-
-    index: int
-    block: str           # "init" | "z" | "u"
-    k: int
-    j: int
-    f_value: float
-    step_norm: float
-    eta: float
-    decrease: float      # F before the block minus F after
-    margin_c: float      # sufficient-decrease constant claimed for this step
-
-
-@dataclass
-class CGState:
-    """The iterate pair (u, z) plus the per-iteration trace."""
-
-    u: np.ndarray
-    z: np.ndarray
-    trace: list = field(default_factory=list)
 
 
 def data_misfit(z, u, model, y):

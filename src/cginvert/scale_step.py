@@ -9,7 +9,7 @@ Both support a fixed step size or a backtracking halving linesearch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -36,16 +36,16 @@ class LinesearchConfig:
     """Step-size policy for the z updates.
 
     mode "fixed" uses eta (or an automatic 1/L estimate when eta is None);
-    mode "backtrack" halves from eta_init until the sufficient-decrease
-    test with constant alpha holds.
+    mode "backtrack" halves from eta_init, at most max_halvings times, until
+    the sufficient-decrease test with constant alpha holds.
     """
 
     mode: str = "backtrack"
     eta: float | None = None
     alpha: float = 0.3
-    shrink: float = 0.5
-    eta_init: float = 1.0
-    max_halvings: int = 50
+    eta_init: ClassVar[float] = 1.0
+    shrink: ClassVar[float] = 0.5
+    max_halvings: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.mode not in ("fixed", "backtrack"):
@@ -54,10 +54,6 @@ class LinesearchConfig:
             raise ValueError(f"linesearch eta must be finite and > 0, got {self.eta!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 1/2]")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.eta_init <= 1.0:
-            raise ValueError("eta_init must lie in (0, 1]")
 
 
 class StationarityResidual(NamedTuple):
@@ -142,18 +138,16 @@ def ista_step(z, u, model, y, r, ls):
     )
 
 
-def stationarity_residual(z, u, model, y, r, eta_probe, method="pgd"):
-    """Fixed-point residual ||z - step(z)||_inf of the configured map.
+def stationarity_residual(z, u, model, y, r, eta_probe, step):
+    """Fixed-point residual ||z - step(z)||_inf of the map step (pgd_step or
+    ista_step).
 
     Zero exactly at stationary points; reported both absolutely and
     relative to ||z||_inf.  The probe is one fixed step of size eta_probe,
     so a non-positive eta_probe raises ValueError.
     """
-    steps = {"pgd": pgd_step, "ista": ista_step}
-    if method not in steps:
-        raise ValueError(f"unknown method {method!r}")
-    cand, _ = steps[method](z, u, model, y, r,
-                            LinesearchConfig(mode="fixed", eta=eta_probe))
+    cand, _ = step(z, u, model, y, r,
+                   LinesearchConfig(mode="fixed", eta=eta_probe))
     absolute = float(np.max(np.abs(z - cand))) if z.size else 0.0
     scale = float(np.max(np.abs(z))) if z.size else 0.0
     return StationarityResidual(absolute, absolute / max(scale, 1e-300))

@@ -28,6 +28,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DivergenceError
+from .regularizer import data_misfit
 from .sensing import spectral_norm
 
 __all__ = [
@@ -63,8 +64,7 @@ def _a_z(z, model):
 
 def u_objective(u, z, model, y, p):
     """0.5*||A_z u - y||^2 + 0.5*u^T P^{-1} u (the u-dependent part of F)."""
-    r = model.apply(z * u) - y
-    return 0.5 * float(r @ r) + 0.5 * p.quad_inv(u)
+    return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u)
 
 
 def grad_u(u, z, model, y, p):
@@ -79,11 +79,19 @@ def _factor(s, psd_plus_identity=False):
     and writes the factor over it, with no copy.  A non-finite s raises
     LinAlgError, the error a non-positive pivot raises.  For s = I + Psi W
     Psi^T with W >= 0 the diagonal suffices: |s_ij| <= sqrt(s_ii s_jj), and
-    a non-finite w_k reaches every s_ii with Psi[i, k] != 0.
+    a non-finite w_k reaches every s_ii with Psi[i, k] != 0.  A pivot that
+    is not positive, such as one lost to rounding in a system of entries
+    near 1e308, raises LinAlgError naming the u-update.
     """
     if not np.isfinite(np.diagonal(s) if psd_plus_identity else s).all():
         raise np.linalg.LinAlgError("u-update system has non-finite entries")
-    return sla.cho_factor(s, lower=True, overwrite_a=True, check_finite=False)
+    try:
+        return sla.cho_factor(s, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        # SciPy says "<i>-th leading minor of the array is not positive definite"
+        minor = str(exc).partition(" of the array")[0]
+        raise np.linalg.LinAlgError(
+            f"u-update system is not positive definite ({minor})") from None
 
 
 def _backsolve(cho, b, live=slice(None)):

@@ -199,6 +199,25 @@ class TestMalformedInput:
         code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
         assert code == 3 and "'m' should be int, not str" in err
 
+    @pytest.mark.parametrize("header,pixels,expect", [
+        (b"P2\n8 abc\n255\n", b"1 " * 64, "non-integer PGM header token"),
+        (b"P2\n8 8\n255\n", b"1 2 x " + b"1 " * 61,
+         "non-integer PGM pixel token"),
+        (b"P2\n-8 8\n255\n", b"1 " * 64, "bad size -8x8"),
+    ], ids=["header-token", "pixel-token", "negative-width"])
+    def test_malformed_pgm(self, cfg_path, tmp_path, capsys, header, pixels,
+                           expect):
+        images = tmp_path / "images"
+        images.mkdir()
+        for i in range(3):
+            (images / f"im{i}.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+        (images / "im1.pgm").write_bytes(header + pixels)
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            f"data.source={images}", "--out", str(tmp_path / "ds"))
+        assert code == 3 and err.startswith("data error: ") and "im1.pgm" in err
+        assert expect in err
+
     def test_truncated_pgm(self, cfg_path, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -299,6 +318,22 @@ class TestMalformedInput:
         assert code == 4 and err.startswith("numerical failure: ")
         assert "||A c|| = inf is not finite" in err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command,key", [("solve", "solver.cov_value"),
+                                             ("train", "net.cov_init")])
+    def test_covariance_too_large_to_factor(self, cfg_path, tmp_path, capsys,
+                                            command, key):
+        # on Radon 6x6/4 a covariance of 1e308 passes the config checks and
+        # rounding leaves the u-update system a non-positive pivot
+        small = ["--set", "sensing.side=6", "--set", "sensing.angles=4"]
+        ds = tmp_path / "ds"
+        assert run("gen-data", "--config", cfg_path, *small, "--out", str(ds)) == 0
+        code, err = self.one_line_error(
+            capsys, command, "--config", cfg_path, *small,
+            "--set", f"{key}=1e308", "--dataset", str(ds),
+            "--out", str(tmp_path / "out"))
+        assert code == 4 and err.startswith("numerical failure: ")
+        assert "u-update system is not positive definite (" in err
 
     def test_gen_data_overflowing_snr(self, cfg_path, tmp_path, capsys):
         code, err = self.one_line_error(
@@ -609,6 +644,17 @@ class TestSeeds:
         assert run("gen-data", "--config", cfg_path, "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["generation"]["seed"] == 99
+
+    def test_non_integer_env_seed_is_a_config_error(self, cfg_path, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("CG_INVERT_SEED", "abc")
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run("gen-data", "--config", cfg_path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "CG_INVERT_SEED" in err
+        assert not out.exists()
 
     def test_seed_flag_overrides(self, cfg_path, tmp_path):
         out = tmp_path / "ds"

@@ -120,7 +120,6 @@ class TestSolve:
         r = ScaleRegularizer.log_squared(0.5)
         rep = solve(model, y, p, r,
                     SolverConfig(K=500, J=2, zstep_method="ista", stop_tol=1e-9))
-        assert rep.converged
         assert rep.stop_reason == "tolerance"
         assert rep.iterations < 500
 
