@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -178,11 +179,11 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, model, ds = _load_run(args)
-    params, manifest = load_checkpoint(args.checkpoint)
+    params, _ = load_checkpoint(args.checkpoint)
     net_cfg = cfgmod.build_net_config(cfg)
-    if manifest["net"] != net_cfg.to_dict():
-        mismatched = [k for k, v in net_cfg.to_dict().items()
-                      if manifest["net"].get(k) != v]
+    if params.cfg != net_cfg:
+        mismatched = [f.name for f in fields(net_cfg)
+                      if getattr(params.cfg, f.name) != getattr(net_cfg, f.name)]
         raise ConfigError(
             f"checkpoint network config does not match: {', '.join(mismatched)}")
     if params.n != model.n:
@@ -286,6 +287,9 @@ def main(argv=None):
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output the command cannot create or write
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

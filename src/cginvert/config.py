@@ -116,15 +116,22 @@ class RunConfig:
     def load(cls, path=None, overrides=()):
         cfg = cls()
         if path is not None:
-            with open(path) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(f"{path}:{lineno}: expected key = value")
-                    key, val = (t.strip() for t in line.split("=", 1))
-                    cfg.set(key, val)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"config file {path}: {exc.strerror}") from None
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config file {path} is not UTF-8 text: "
+                                  f"{exc.reason} at byte {exc.start}") from None
+            for lineno, raw in enumerate(text.split("\n"), start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value")
+                key, val = (t.strip() for t in line.split("=", 1))
+                cfg.set(key, val)
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not key=value")
@@ -244,6 +251,8 @@ def build_train_config(cfg):
     # train() accepts zero epochs, but the command reports the last epoch's loss
     if cfg.get("train.epochs") < 1:
         raise ConfigError("train.epochs must be >= 1")
+    if cfg.get("train.seed") < 0:
+        raise ConfigError("train.seed must be >= 0")
     return _from_fields(TrainConfig, "train", cfg)
 
 

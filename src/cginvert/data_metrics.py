@@ -5,12 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, read_manifest
+from .errors import DataError, read_f64, read_manifest, write_store
 from .imageio import read_pgm
 from .sensing import measure
 
@@ -48,6 +48,10 @@ class Dataset:
 
     def __len__(self):
         return len(self.pairs)
+
+
+# every field but pairs is a manifest key; the samples are files
+_STORED = [f for f in fields(Dataset) if f.name != "pairs"]
 
 
 def synthetic_image(side, rng):
@@ -133,63 +137,30 @@ def gen_dataset(source, model, snr_db, n_samples, seed):
 
 def save_dataset(ds, out_dir):
     """Write manifest.json plus per-sample little-endian float64 binaries."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "model_fingerprint": ds.model_fingerprint,
-        "dataset_fingerprint": ds.dataset_fingerprint,
-        "snr_db": ds.snr_db,
-        "seeds": ds.seeds,
-        "side": ds.side,
-        "m": ds.m,
-        "n": ds.n,
-        "n_samples": len(ds.pairs),
-        "generation": ds.generation,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    manifest = {f.name: getattr(ds, f.name) for f in _STORED}
+    manifest["n_samples"] = len(ds)
+    arrays = {}
     for i, (y, c) in enumerate(ds.pairs):
-        y.astype("<f8").tofile(os.path.join(out_dir, f"y_{i}.f64"))
-        c.astype("<f8").tofile(os.path.join(out_dir, f"c_{i}.f64"))
-
-
-def _load_vector(in_dir, name, size):
-    path = os.path.join(in_dir, name)
-    if not os.path.exists(path):
-        raise DataError(f"missing sample file {path}")
-    v = np.fromfile(path, dtype="<f8")
-    if v.size != size:
-        raise DataError(f"{path} has {v.size} values, expected {size}")
-    if not np.isfinite(v).all():
-        raise DataError(f"{path} holds non-finite values")
-    return v
+        arrays.update({f"y_{i}.f64": y, f"c_{i}.f64": c})
+    write_store(out_dir, manifest, arrays)
 
 
 def load_dataset(in_dir):
-    """Read save_dataset output; missing files or keys, a manifest that is not
-    a JSON object or has a mistyped value, no samples, wrong lengths and
-    non-finite values raise DataError."""
-    path = os.path.join(in_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise DataError(f"no dataset manifest in {in_dir}")
-    manifest = read_manifest(path, DataError, {
+    """Read save_dataset output; unreadable files, missing keys, a manifest
+    that is not a JSON object or has a mistyped value, no samples, wrong
+    lengths and non-finite values raise DataError."""
+    manifest = read_manifest(os.path.join(in_dir, "manifest.json"), DataError, {
         "m": int, "n": int, "n_samples": int, "side": int, "seeds": list})
     if manifest["n_samples"] < 1:
         raise DataError(f"dataset in {in_dir} holds no samples")
+
+    def sample(name, size):
+        return read_f64(os.path.join(in_dir, name), size, DataError, "sample file")
+
+    pairs = [(sample(f"y_{i}.f64", manifest["m"]), sample(f"c_{i}.f64", manifest["n"]))
+             for i in range(manifest["n_samples"])]
     try:
-        pairs = [(_load_vector(in_dir, f"y_{i}.f64", manifest["m"]),
-                  _load_vector(in_dir, f"c_{i}.f64", manifest["n"]))
-                 for i in range(manifest["n_samples"])]
-        return Dataset(
-            pairs=pairs,
-            model_fingerprint=manifest["model_fingerprint"],
-            dataset_fingerprint=manifest["dataset_fingerprint"],
-            snr_db=manifest["snr_db"],
-            seeds=manifest["seeds"],
-            side=manifest["side"],
-            m=manifest["m"],
-            n=manifest["n"],
-            generation=manifest["generation"],
-        )
+        return Dataset(pairs, **{f.name: manifest[f.name] for f in _STORED})
     except KeyError as exc:
         raise DataError(f"dataset manifest in {in_dir} lacks key {exc}") from None
 

@@ -9,14 +9,14 @@ executes in the forward pass.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..covariance import DEFAULT_EPS, CovarianceParam
-from ..errors import ConfigError, read_manifest
+from ..errors import ConfigError, read_f64, read_manifest, write_store
 from ..tikhonov import NagdConfig
 from .conv import glorot_uniform
 
@@ -44,6 +44,7 @@ class NetConfig:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
+        self.channels = tuple(self.channels)
         if self.K < 1 or self.J < 1:
             raise ValueError("K and J must be >= 1")
         if self.kernel < 1 or self.kernel % 2 != 1:
@@ -71,17 +72,7 @@ class NetConfig:
 
     def layer_channels(self):
         """(f_0, ..., f_D) with f_0 = 1."""
-        return (1,) + tuple(self.channels)
-
-    def to_dict(self):
-        """Every field, with channels as a list as JSON reads it back."""
-        return dict(asdict(self), channels=list(self.channels))
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["channels"] = tuple(d["channels"])
-        return cls(**d)
+        return (1,) + self.channels
 
 
 @dataclass
@@ -185,11 +176,8 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
     The manifest declares the parameter order and shapes; the blob holds the
     arrays concatenated in that order.
     """
-    import os
-
-    os.makedirs(path_dir, exist_ok=True)
     manifest = {
-        "net": params.cfg.to_dict(),
+        "net": asdict(params.cfg),
         "n": params.n,
         "order": list(params.values),
         "shapes": {k: list(v.shape) for k, v in params.values.items()},
@@ -200,31 +188,22 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
         manifest["train"] = asdict(train_cfg)
     if extra:
         manifest.update(extra)
-    with open(os.path.join(path_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
     blob = np.concatenate([v.ravel() for v in params.values.values()])
-    blob.astype("<f8").tofile(os.path.join(path_dir, "params.bin"))
+    write_store(path_dir, manifest, {"params.bin": blob})
 
 
 def load_checkpoint(path_dir):
     """Read back a checkpoint; returns (NetParams, manifest dict).
 
-    A missing file, a manifest that is not a JSON object, lacks a key or
+    An unreadable file, a manifest that is not a JSON object, lacks a key or
     has a mistyped value, an array set or shape other than the one its net
     and n give, and a blob of the wrong length or with non-finite values
     raise ConfigError.
     """
-    import os
-
-    path = os.path.join(path_dir, "manifest.json")
-    blob_path = os.path.join(path_dir, "params.bin")
-    for p in (path, blob_path):
-        if not os.path.exists(p):
-            raise ConfigError(f"missing checkpoint file {p}")
-    manifest = read_manifest(path, ConfigError, {
+    manifest = read_manifest(os.path.join(path_dir, "manifest.json"), ConfigError, {
         "net": dict, "order": list, "shapes": dict, "n": int})
     try:
-        cfg = NetConfig.from_dict(manifest["net"])
+        cfg = NetConfig(**manifest["net"])
         shapes = [tuple(int(d) for d in manifest["shapes"][name])
                   for name in manifest["order"]]
         n = manifest["n"]
@@ -237,15 +216,10 @@ def load_checkpoint(path_dir):
         if got.get(name) != want.get(name):
             raise ConfigError(f"checkpoint array {name} has shape {got.get(name)}, "
                               f"its network config gives {want.get(name)}")
-    blob = np.fromfile(blob_path, dtype="<f8")
-    expected = sum(int(np.prod(shape)) for shape in shapes)
-    if blob.size != expected:
-        raise ConfigError(f"checkpoint blob has {blob.size} scalars, expected {expected}")
-    if not np.isfinite(blob).all():
-        raise ConfigError(f"{blob_path} holds non-finite values")
-    values, pos = {}, 0
-    for name, shape in zip(manifest["order"], shapes):
-        size = int(np.prod(shape))
-        values[name] = blob[pos:pos + size].reshape(shape).astype(np.float64)
-        pos += size
+    sizes = [math.prod(shape) for shape in shapes]
+    blob = read_f64(os.path.join(path_dir, "params.bin"), sum(sizes), ConfigError,
+                    "checkpoint blob")
+    parts = np.split(blob, np.cumsum(sizes)[:-1])
+    values = {name: part.reshape(shape)
+              for name, shape, part in zip(manifest["order"], shapes, parts)}
     return NetParams(cfg, n, values), manifest

@@ -1,11 +1,15 @@
-"""Exception hierarchy shared across the package, and the typed manifest
-reader that raises it.
+"""Exception hierarchy shared across the package, and the on-disk store that
+datasets and checkpoints share: a manifest.json plus little-endian float64
+files, whose readers raise the caller's error class.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
 """
 
 import json
+import os
+
+import numpy as np
 
 
 class CgInvertError(Exception):
@@ -48,14 +52,27 @@ class NanLossError(NumericalError):
         self.dump = dump or {}
 
 
+def write_store(out_dir, manifest, arrays):
+    """Create out_dir and write manifest as its manifest.json (keys sorted)
+    and each {file name: array} of arrays as little-endian float64."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+    for name, values in arrays.items():
+        values.astype("<f8").tofile(os.path.join(out_dir, name))
+
+
 def read_manifest(path, error, fields):
     """Load the JSON object at path and check that every key of fields is
-    present with a value of that type (bools never pass as ints).  Invalid
-    JSON, a non-object, a missing key or a mistyped value raise error."""
+    present with a value of that type (bools never pass as ints).  A file
+    that cannot be read, invalid JSON, a non-object, a missing key or a
+    mistyped value raise error."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSON or UTF-8 decoding
         raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise error(f"{path} holds a JSON {type(manifest).__name__}, not an object")
@@ -67,3 +84,20 @@ def read_manifest(path, error, fields):
             raise error(f"{path}: {key!r} should be {kind.__name__}, "
                         f"not {type(value).__name__}")
     return manifest
+
+
+def read_f64(path, size, error, what):
+    """The size little-endian float64 values of the file at path, which what
+    names in the messages; a file that cannot be read, holds another number
+    of values or a non-finite one raises error."""
+    try:
+        values = np.fromfile(path, dtype="<f8")
+        nbytes = os.path.getsize(path)
+    except OSError as exc:
+        raise error(f"{what} {path}: {exc.strerror}") from None
+    if nbytes != 8 * size:  # fromfile drops a trailing partial value
+        raise error(f"{what} {path} has {nbytes} bytes, expected {8 * size} "
+                    f"({size} float64 values)")
+    if not np.isfinite(values).all():
+        raise error(f"{what} {path} holds non-finite values")
+    return values

@@ -41,8 +41,11 @@ def _pgm_ints(path, what, tokens):
 
 def read_pgm(path):
     """Load a P2/P5 PGM file as a float image in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
     toks = _pgm_tokens(data)
     try:
         magic, _ = next(toks)

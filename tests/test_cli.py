@@ -162,6 +162,27 @@ class TestMalformedInput:
         code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
         assert code == 3 and "y_1.f64" in err
 
+    @pytest.mark.parametrize("name", ["y_1.f64", "manifest.json"])
+    def test_dataset_file_is_a_directory(self, cfg_path, tmp_path, capsys, name):
+        ds = self.gen(cfg_path, tmp_path)
+        (ds / name).unlink()
+        (ds / name).mkdir()
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and name in err
+
+    def test_sample_file_with_a_partial_value(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        with open(ds / "c_1.f64", "ab") as fh:
+            fh.write(bytes(3))
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "c_1.f64 has 515 bytes, expected 512" in err
+
+    def test_manifest_not_utf8(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        (ds / "manifest.json").write_bytes(b'{"m": "\xff"}')
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "not valid JSON" in err
+
     def test_manifest_missing_key(self, cfg_path, tmp_path, capsys):
         ds = self.gen(cfg_path, tmp_path)
         manifest = json.loads((ds / "manifest.json").read_text())
@@ -230,6 +251,47 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and "im1.pgm" in err
+
+    def test_pgm_is_a_directory(self, cfg_path, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        for name in ("im0.pgm", "im2.pgm"):
+            (images / name).write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+        (images / "im1.pgm").mkdir()
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set",
+            f"data.source={images}", "--out", str(tmp_path / "ds"))
+        assert code == 3 and err.startswith("data error: ") and "im1.pgm" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"sensing.kind = radon\n# \xff\n")
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", str(path), "--out", str(tmp_path / "ds"))
+        assert code == 2 and err.startswith(f"config error: config file {path}")
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command",
+                             ["gen-data", "solve", "train", "eval", "diagnose"])
+    def test_out_cannot_be_created(self, cfg_path, tmp_path, capsys, command):
+        ds = self.gen(cfg_path, tmp_path)
+        inputs = [] if command == "gen-data" else ["--dataset", str(ds)]
+        if command == "eval":
+            ck = tmp_path / "ck"
+            assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+                       "--dataset", str(ds), "--out", str(ck)) == 0
+            inputs += ["--checkpoint", str(ck)]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        code, err = self.one_line_error(
+            capsys, command, "--config", cfg_path, "--set", "train.epochs=1",
+            *inputs, "--out", str(out))
+        assert code == 2 and err.startswith(f"config error: {out}: ")
 
     @staticmethod
     def one_line_error(capsys, *argv):
@@ -373,6 +435,21 @@ class TestMalformedInput:
         assert code == 2 and err.startswith("config error: ")
         assert "data.seed must be >= 0" in err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "env", "set"])
+    def test_train_negative_seed(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                 how):
+        ds = self.gen(cfg_path, tmp_path)
+        argv = {"flag": ["--seed", "-5"], "env": [],
+                "set": ["--set", "train.seed=-1"]}[how]
+        if how == "env":
+            monkeypatch.setenv("CG_INVERT_SEED", "-1")
+        code, err = self.one_line_error(
+            capsys, "train", "--config", cfg_path, *argv,
+            "--dataset", str(ds), "--out", str(tmp_path / "ck"))
+        assert code == 2 and err.startswith("config error: ")
+        assert "train.seed must be >= 0" in err
+        assert not (tmp_path / "ck").exists()
 
     def test_gen_data_without_samples(self, cfg_path, tmp_path, capsys):
         code, err = self.one_line_error(
@@ -520,6 +597,15 @@ class TestMalformedInput:
             cfg_path, tmp_path, capsys, lambda ck: (ck / name).unlink())
         assert name in err
 
+    @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
+    def test_checkpoint_file_is_a_directory(self, cfg_path, tmp_path, capsys, name):
+        def corrupt(ck):
+            (ck / name).unlink()
+            (ck / name).mkdir()
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert name in err
+
     def test_checkpoint_non_finite_value(self, cfg_path, tmp_path, capsys):
         def corrupt(ck):
             blob = np.fromfile(ck / "params.bin", dtype="<f8")
@@ -612,6 +698,56 @@ class TestTrainEval:
         assert code == 4
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: solver breakdown")
+
+
+def metric_rows(path):
+    """The rows of a CSV as {column: value} dicts."""
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestSettingsOffTheDefaults:
+    """Settings the other tests leave at their defaults, on Radon 6x6/4."""
+
+    small = ["--set", "sensing.side=6", "--set", "sensing.angles=4"]
+
+    def gen(self, cfg_path, tmp_path, *sets):
+        ds = tmp_path / "ds"
+        assert run("gen-data", "--config", cfg_path, *self.small, *sets,
+                   "--out", str(ds)) == 0
+        return ds
+
+    def test_dct_dictionary_round_trip(self, cfg_path, tmp_path):
+        dct = [*self.small, "--set", "sensing.dict=dct"]
+        ds = self.gen(cfg_path, tmp_path, *dct)
+        ck = tmp_path / "ck"
+        assert run("solve", "--config", cfg_path, *dct, "--dataset", str(ds),
+                   "--out", str(tmp_path / "solve"), "--repro") == 0
+        assert run("train", "--config", cfg_path, *dct, "--dataset", str(ds),
+                   "--out", str(ck)) == 0
+        assert run("eval", "--config", cfg_path, *dct, "--dataset", str(ds),
+                   "--checkpoint", str(ck), "--out", str(tmp_path / "eval")) == 0
+        for name in ("solve", "eval"):
+            rows = metric_rows(tmp_path / name / "metrics.csv")
+            assert len(rows) == 3
+            assert all(np.isfinite(float(v)) for row in rows for v in row.values())
+
+    def test_zero_regularizer_solve(self, cfg_path, tmp_path):
+        ds = self.gen(cfg_path, tmp_path)
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg_path, *self.small, "--set",
+                   "reg.kind=zero", "--dataset", str(ds), "--out", str(out),
+                   "--repro") == 0
+        assert len(metric_rows(out / "metrics.csv")) == 3
+
+    def test_validation_split(self, cfg_path, tmp_path):
+        ds = self.gen(cfg_path, tmp_path)
+        ck = tmp_path / "ck"
+        assert run("train", "--config", cfg_path, *self.small, "--set",
+                   "train.val_fraction=0.25", "--set", "train.patience=1",
+                   "--dataset", str(ds), "--out", str(ck)) == 0
+        rows = metric_rows(ck / "loss_history.csv")
+        assert rows and all(np.isfinite(float(row["val_mae"])) for row in rows)
 
 
 class TestParamCount:

@@ -148,7 +148,8 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", params, train_cfg=tcfg, epoch=1,
                         losses={"train_mae": [0.5]})
         loaded, manifest = load_checkpoint(tmp_path / "ck")
-        assert manifest["net"] == cfg.to_dict()
+        assert NetConfig(**manifest["net"]) == cfg
+        assert manifest["net"]["channels"] == list(cfg.channels)
         assert manifest["epoch"] == 1
         for key in params.values:
             assert np.array_equal(loaded.values[key], params.values[key])
