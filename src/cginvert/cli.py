@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -124,14 +123,9 @@ def _solve_one(i, pair, model, p, r, scfg, out_dir, repro):
 def cmd_solve(args):
     cfg, model, ds = _load_run(args)
     p, r, scfg = cfgmod.build_solver(cfg, model.n)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     os.makedirs(args.out, exist_ok=True)
-
-    worker = lambda i: _solve_one(i, ds.pairs[i], model, p, r, scfg,
-                                  args.out, args.repro)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(worker, range(len(ds))))
+    rows = [_solve_one(i, pair, model, p, r, scfg, args.out, args.repro)
+            for i, pair in enumerate(ds.pairs)]
     _write_csv(os.path.join(args.out, "metrics.csv"),
                "id,psnr,ssim,F_final,stationarity_u,stationarity_z,iters,seconds",
                rows)
@@ -250,7 +244,6 @@ def main(argv=None):
     add_common(sp)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--repro", action="store_true",
                     help="write zero seconds for byte-stable outputs")
     sp.set_defaults(func=cmd_solve)

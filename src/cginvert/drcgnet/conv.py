@@ -49,11 +49,14 @@ releases it, so only the caller's one GIL-free matmul lets the worker's
 GIL-holding dgemm chain run beside it (one 32->32 layer on a 32x32 map,
 one BLAS thread: 1.06-1.12 ms, against 2.03-2.14 ms with the roles
 reversed and 1.59-1.76 ms serial).  The worker runs BLAS on arrays and
-nothing else.  Every number is the same on either path.
+nothing else.  Inside single_core() no layer splits: training then runs a
+second process on the other CPU (see train.py).  Every number is the same
+on either path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -114,6 +117,8 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _pool = None
 _pool_lock = threading.Lock()
+# open single_core() blocks, over all threads
+_single = 0
 
 
 def _worker():
@@ -133,6 +138,21 @@ def _forget_worker():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
+
+
+@contextlib.contextmanager
+def single_core():
+    """Run every backward on its calling thread inside the block, in any
+    thread of the process: another process has the other CPU.  A child
+    forked inside the block keeps it for life."""
+    global _single
+    with _pool_lock:
+        _single += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _single -= 1
 
 
 def _input_grad(dxp, flat_kern, d, taps, span):
@@ -195,7 +215,8 @@ def conv2d_backward(d, xp, kern, h, w):
         xp, (k, k, span, cin), (wp * row, row, row, col), writeable=False)
     dkern = np.empty(kern.shape)
     dxp = np.zeros(xp.shape)
-    if cin > 1 and _CPUS > 1 and k * k * cin * cout * span >= _SPLIT_MACS:
+    if (cin > 1 and _CPUS > 1 and not _single
+            and k * k * cin * cout * span >= _SPLIT_MACS):
         job = _worker().submit(_input_grad, dxp, flat_kern, d, taps, span)
         try:
             np.matmul(windows.swapaxes(2, 3), d, out=dkern)

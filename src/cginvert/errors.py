@@ -3,7 +3,7 @@ datasets and checkpoints share: a manifest.json plus little-endian float64
 files, whose readers raise the caller's error class.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4.
+NumericalError -> 4, any other CgInvertError (WorkerError) -> 1.
 """
 
 import json
@@ -50,6 +50,11 @@ class NanLossError(NumericalError):
     def __init__(self, message, dump=None):
         super().__init__(message)
         self.dump = dump or {}
+
+
+class WorkerError(CgInvertError):
+    """A training worker process could not start or ended without its
+    result."""
 
 
 def write_store(out_dir, manifest, arrays):

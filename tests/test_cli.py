@@ -121,16 +121,6 @@ class TestSolve:
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t2" / name).read_bytes(), name
 
-    def test_jobs_parallel_matches_serial(self, cfg_path, tmp_path):
-        ds = tmp_path / "ds"
-        run("gen-data", "--config", cfg_path, "--out", str(ds))
-        run("solve", "--config", cfg_path, "--dataset", str(ds),
-            "--out", str(tmp_path / "s1"), "--repro")
-        run("solve", "--config", cfg_path, "--dataset", str(ds),
-            "--out", str(tmp_path / "s2"), "--repro", "--jobs", "3")
-        assert (tmp_path / "s1" / "metrics.csv").read_bytes() == \
-            (tmp_path / "s2" / "metrics.csv").read_bytes()
-
     def test_fingerprint_mismatch_is_data_error(self, cfg_path, tmp_path, capsys):
         ds = tmp_path / "ds"
         run("gen-data", "--config", cfg_path, "--out", str(ds))
@@ -474,13 +464,17 @@ class TestMalformedInput:
             "--dataset", str(ds), *extra, "--out", str(tmp_path / "out"))
         assert code == 3 and "no samples" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_solve_jobs_below_one(self, cfg_path, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-1", "3"])
+    def test_solve_jobs_is_unknown(self, cfg_path, tmp_path, capsys, jobs):
+        # solve runs its samples one after the other; --jobs is gone
         ds = self.gen(cfg_path, tmp_path)
-        code, err = self.one_line_error(
-            capsys, "solve", "--config", cfg_path, "--dataset", str(ds),
-            "--out", str(tmp_path / "out"), "--jobs", jobs)
-        assert code == 2 and f"--jobs must be >= 1, got {jobs}" in err
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--config", cfg_path, "--dataset", str(ds),
+                "--out", str(tmp_path / "out"), "--jobs", jobs)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("index", ["3", "99", "-1"])
     def test_diagnose_index_out_of_range(self, cfg_path, tmp_path, capsys, index):

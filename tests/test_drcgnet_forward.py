@@ -241,6 +241,19 @@ class TestSplitBackward:
             assert np.array_equal(dxp, ref_dxp)
             assert np.array_equal(dkern, ref_dkern)
 
+    def test_single_core_blocks_stay_serial(self, two_cpus):
+        inputs = layer_inputs(self.SPLIT_CASES[0], 9)
+        with conv.single_core(), conv.single_core():
+            pass
+        with conv.single_core():
+            got = conv2d_backward(*inputs)
+        assert two_cpus.calls == 0
+        conv2d_backward(*inputs)
+        assert two_cpus.calls == 1
+        ref_dxp, ref_dkern = per_tap_backward(*inputs)
+        assert np.array_equal(got[0], ref_dxp)
+        assert np.array_equal(got[1], ref_dkern)
+
     def test_one_cpu_stays_serial(self, two_cpus, monkeypatch):
         monkeypatch.setattr(conv, "_CPUS", 1)
         conv2d_backward(*layer_inputs(self.SPLIT_CASES[0], 7))
