@@ -162,6 +162,18 @@ def _input_grad(dxp, flat_kern, d, taps, span):
               trans_a=1, overwrite_c=1)
 
 
+def _windows(xp, k, wp, span):
+    """The read-only (k, k, span, c) view of the C-contiguous buffer xp whose
+    [di, dj] is tap (di, dj)'s window.  Built by the ndarray constructor:
+    as_strided makes the same view in about 4x the time (4.8 against 1.1
+    us)."""
+    row, col = xp.strides
+    windows = np.ndarray((k, k, span, xp.shape[1]), xp.dtype, xp, 0,
+                         (wp * row, row, row, col))
+    windows.flags.writeable = False
+    return windows
+
+
 def conv2d_forward(xp, kern, h, w, relu):
     """Correlate the (h, w) map in padded buffer xp with kern (k, k, c_in,
     c_out).
@@ -210,9 +222,7 @@ def conv2d_backward(d, xp, kern, h, w):
             shifted[t, o:o + span] = d[:, 0]
         dxp = shifted.T @ flat_kern[:, :, 0]
         return dxp, (shifted @ xp).reshape(kern.shape)
-    row, col = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (k, k, span, cin), (wp * row, row, row, col), writeable=False)
+    windows = _windows(xp, k, wp, span)
     dkern = np.empty(kern.shape)
     dxp = np.zeros(xp.shape)
     if (cin > 1 and _CPUS > 1 and not _single

@@ -4,13 +4,14 @@ The batch gradient is the mean over samples, each sample's backward adding
 its terms straight into the one batch dict in fixed sample order; no
 shuffling, so a fixed seed reproduces the loss history bit for bit.
 
-Where the process may fork and use two CPUs and one sample's conv work
-clears _FORK_MACS (_forks), a batch runs its samples in pairs on two
-processes.  At the first batch of two or more samples, train forks one
-worker process (_Worker); from then on the main process computes the first
-sample of each pair as before while the worker computes the second, and a
-lone last sample runs on the main process alone.  Pairs, rather than halves
-of the batch, keep the worker to one gradient slot whatever the batch size.
+Where the process may fork and use two CPUs and one sample's work (conv
+and Cholesky multiply-adds) clears _FORK_MACS (_forks), a batch runs its
+samples in pairs on two processes.  At the first batch of two or more
+samples, train forks one worker process (_Worker); from then on the main
+process computes the first sample of each pair as before while the worker
+computes the second, and a lone last sample runs on the main process
+alone.  Pairs, rather than halves of the batch, keep the worker to one
+gradient slot whatever the batch size.
 The worker reads the parameters from a shared mirror that the main process
 refills before each batch, and writes its sample's gradient, started from
 zeros, to a shared slot; the main process then adds the slot into the batch
@@ -43,12 +44,16 @@ from .params import NetParams, init_params, param_count
 
 __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 
-# A batch forks a worker from this many conv multiply-adds per sample
-# forward (_conv_macs) on.  The fork, the worker's first page faults and the
-# join cost 10-15 ms per train call.  One-epoch calls on 4 samples in
-# batches of 2 (one BLAS thread, 8x8 and 16x16 images) lost or broke even
-# with the worker up to 16M and took 0.75-0.95x the serial time from 19M to
-# 63M; the paper configuration does 744M, the README run.cfg 46k.
+# A batch forks a worker from this many multiply-adds per sample forward
+# (_sample_macs) on.  The fork, the worker's first page faults and the join
+# cost 10-15 ms per train call.  One-epoch calls on 4 samples in batches of
+# 2 (one BLAS thread, 8x8 and 16x16 images) lost or broke even with the
+# worker up to 16M conv multiply-adds and took 0.75-0.95x the serial time
+# from 19M to 63M; the paper configuration does 1.18G (744M of it conv),
+# the README run.cfg 0.31M.  At Radon 32x32/15 the factors alone clear the
+# floor: the README net there does 0.74M conv and 329M in all, and its
+# one-epoch calls took 0.090 s with the worker against 0.144 s serial
+# (medians of 12).
 _FORK_MACS = 30_000_000
 
 
@@ -111,11 +116,14 @@ def _sample(pair, model, params, inv, grads):
     return np.abs(diff).sum() * inv
 
 
-def _conv_macs(cfg, n):
-    """Multiply-adds of the conv stacks in one sample's forward."""
+def _sample_macs(cfg, m, n):
+    """Multiply-adds of one sample's forward: its conv stacks, and r^3/3
+    for the Cholesky factor of each exact Tikhonov block, r = min(m, n)."""
     f = cfg.layer_channels()
     stacks = cfg.K * cfg.J + cfg.refine
-    return stacks * n * cfg.kernel ** 2 * sum(a * b for a, b in zip(f, f[1:]))
+    convs = stacks * n * cfg.kernel ** 2 * sum(a * b for a, b in zip(f, f[1:]))
+    factors = cfg.K + 1 if cfg.u_mode == "exact" else 0
+    return convs + factors * min(m, n) ** 3 // 3
 
 
 def _replay_size(cfg, n):
@@ -126,12 +134,12 @@ def _replay_size(cfg, n):
     return terms * sum(map(math.prod, shapes))
 
 
-def _forks(cfg, n):
+def _forks(cfg, m, n):
     """Whether a batch of two or more samples pays for a worker process: the
-    process may fork and use two CPUs, a sample's conv work clears the
-    floor, and its covariance terms are no larger than a gradient."""
+    process may fork and use two CPUs, a sample's work clears the floor,
+    and its covariance terms are no larger than a gradient."""
     return (hasattr(os, "fork") and conv._CPUS > 1
-            and _conv_macs(cfg, n) >= _FORK_MACS
+            and _sample_macs(cfg, m, n) >= _FORK_MACS
             and _replay_size(cfg, n) <= param_count(cfg, n))
 
 
@@ -264,7 +272,7 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     history = {"train_mae": [], "val_mae": []}
     best = (np.inf, None, -1)
     since_best = 0
-    forks = _forks(cfg_net, n)
+    forks = _forks(cfg_net, model.m, n)
     worker = None
 
     with contextlib.ExitStack() as stack:

@@ -228,6 +228,26 @@ class TestSplitBackward:
         assert np.array_equal(dxp, ref_dxp)
         assert np.array_equal(dkern, ref_dkern)
 
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_tap_windows_are_a_read_only_view(self, case, two_cpus,
+                                              monkeypatch):
+        d, xp, kern, h, w = layer_inputs(case, 10)
+        k = kern.shape[0]
+        _, wp, span = conv._layout(k, h, w)
+        windows = conv._windows(xp, k, wp, span)
+        assert np.shares_memory(windows, xp)
+        for t, o in enumerate(conv._taps(k, wp)):
+            assert np.array_equal(windows[t // k, t % k], xp[o:o + span])
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0, 0, 0, 0] = 1.0
+        # the kernel gradient reads the view, split and on one CPU
+        ref_dkern = per_tap_backward(d, xp, kern, h, w)[1]
+        for cpus in (2, 1):
+            monkeypatch.setattr(conv, "_CPUS", cpus)
+            assert np.array_equal(conv2d_backward(d, xp, kern, h, w)[1],
+                                  ref_dkern)
+        assert two_cpus.calls == 1
+
     @pytest.mark.parametrize("case", CONV_CASES + [
         (1, 32, 3, 32, 32), (32, 1, 3, 32, 32), (16, 16, 3, 16, 16),
         (32, 32, 3, 16, 16)])

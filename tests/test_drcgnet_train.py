@@ -299,21 +299,58 @@ class TestWorkerProcess:
               cov_init=0.1)
         assert workers == []
 
+    def test_u_update_work_counts_toward_the_floor(self, workers,
+                                                   monkeypatch):
+        # the README net on Radon 32x32/15: 0.74M conv multiply-adds, 329M
+        # with the Cholesky factors
+        monkeypatch.setattr(conv, "_CPUS", 2)
+        model = build_radon(32, 15)
+        ds = gen_dataset("synthetic", model, 60.0, 2, seed=11)
+        _, _, cfg = toy_setup()
+        train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1, batch=2),
+              cov_init=0.1)
+        assert [w.submitted for w in workers] == [[1]]
+        assert multiprocessing.active_children() == []
+
     def test_gate(self, monkeypatch):
+        # (m, n) of Radon 32x32/15 and 8x8/6
+        big, small = (690, 32 * 32), (72, 64)
         monkeypatch.setattr(conv, "_CPUS", 2)
         paper = NetConfig()
         _, _, toy = toy_setup()
-        assert train_module._forks(paper, 32 * 32)
-        assert not train_module._forks(toy, 64)
+        assert train_module._forks(paper, *big)
+        assert not train_module._forks(toy, *small)
+        # at 32x32/15 the u-update's factors carry the README net over
+        assert train_module._forks(toy, *big)
         # a dense covariance's terms outweigh the gradient at 100 nagd steps
         dense = NetConfig(cov_kind="full", u_mode="nagd", nagd_eta=0.1)
         assert train_module._replay_size(dense, 1024) > param_count(dense, 1024)
-        assert not train_module._forks(dense, 32 * 32)
+        assert not train_module._forks(dense, *big)
         monkeypatch.setattr(conv, "_CPUS", 1)
-        assert not train_module._forks(paper, 32 * 32)
+        assert not train_module._forks(paper, *big)
         monkeypatch.setattr(conv, "_CPUS", 2)
         monkeypatch.delattr(os, "fork")
-        assert not train_module._forks(paper, 32 * 32)
+        assert not train_module._forks(paper, *big)
+
+    @pytest.mark.parametrize("channels", [(8,) * 7 + (1,), (16,) * 7 + (1,),
+                                          (16, 16, 16, 1)])
+    def test_small_image_nets_stay_serial(self, monkeypatch, channels):
+        # 8x8 nets of 2-16M conv multiply-adds lost with the worker; their
+        # factors add 0.35M at most
+        monkeypatch.setattr(conv, "_CPUS", 2)
+        cfg = NetConfig(depth=len(channels), channels=channels)
+        macs = train_module._sample_macs(cfg, 72, 64)
+        assert 2e6 < macs < 16e6
+        assert not train_module._forks(cfg, 72, 64)
+
+    def test_sample_macs(self):
+        _, _, toy = toy_setup()
+        # 5 stacks of 9 (1*8 + 8*1) multiply-adds per pixel, and three
+        # factors of a 64 x 64 system
+        assert train_module._sample_macs(toy, 72, 64) == \
+            5 * 64 * 9 * 16 + 3 * 64 ** 3 // 3
+        nagd = replace(toy, u_mode="nagd", nagd_eta=0.1)
+        assert train_module._sample_macs(nagd, 72, 64) == 5 * 64 * 9 * 16
 
 
 class TestMae:

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -273,10 +272,10 @@ class TestInPlaceFactor:
     def test_factor_equals_factor_of_full_system(self, radon):
         # the factor is that of the live-row block of the full system
         model, z, y, p = radon
-        _, (route, (c, lower), live) = tikhonov_factored(z, model, y, p)
+        _, (route, c, live) = tikhonov_factored(z, model, y, p)
         low = mapped_gram(model, z * z * p.diag_values()) + np.eye(live.size)
         ref, _ = sla.cho_factor(low + np.tril(low, -1).T, lower=True)
-        assert route == "woodbury" and lower and c.shape == (612, 612)
+        assert route == "woodbury" and c.shape == (612, 612)
         assert np.array_equal(np.tril(c), np.tril(ref))
 
     def test_factor_overwrites_the_formed_system(self, radon, monkeypatch):
@@ -284,12 +283,11 @@ class TestInPlaceFactor:
         seen = []
 
         def spy(a, **kwargs):
-            cho = sla.cho_factor(a, **kwargs)
-            seen.append((a, cho[0]))
-            return cho
+            c, info = sla.lapack.dpotrf(a, **kwargs)
+            seen.append((a, c))
+            return c, info
 
-        monkeypatch.setattr(tikhonov, "sla", types.SimpleNamespace(
-            cho_factor=spy, cho_solve=sla.cho_solve))
+        monkeypatch.setattr(tikhonov, "_dpotrf", spy)
         tikhonov_factored(z, model, y, p)
         [(a, c)] = seen
         assert a.flags.f_contiguous and np.shares_memory(a, c)
@@ -305,6 +303,65 @@ class TestInPlaceFactor:
             tracemalloc.stop()
         assert peak < 1.5 * model.m ** 2 * 8
 
+
+
+class TestLapackSeam:
+    """The u-update calls dpotrf and dpotrs directly: the factor and every
+    solve are the bits SciPy's cho_factor and cho_solve give."""
+
+    RADON = {"radon-woodbury": (32, 15), "radon-direct": (8, 6)}
+
+    @pytest.fixture(params=[*RADON, "dense-woodbury"])
+    def system(self, request):
+        rng = np.random.default_rng(5)
+        if request.param in self.RADON:
+            model = build_radon(*self.RADON[request.param])
+            p = CovarianceParam.diagonal(model.n,
+                                         rng.uniform(0.5, 2.0, model.n))
+            y = model.apply(rng.uniform(0.0, 1.0, model.n))
+            z = rng.uniform(0.2, 2.0, model.n)
+        else:
+            model, y, z, p = make_instance(20, 30, 5, "diagonal")
+        return request.param, model, y, z, p, rng.standard_normal(model.n)
+
+    @staticmethod
+    def scipy_seam(m):
+        """Route the factor and the solves through SciPy's cho_factor and
+        cho_solve, the reference for the direct calls."""
+        m.setattr(tikhonov, "_dpotrf", lambda a, **kw: (sla.cho_factor(
+            a, lower=True, overwrite_a=True, check_finite=False)[0], 0))
+        m.setattr(tikhonov, "_dpotrs", lambda c, b, **kw: (sla.cho_solve(
+            (c, True), b, check_finite=False), 0))
+
+    def test_factor_and_solves_equal_scipy(self, system, monkeypatch):
+        case, model, y, z, p, b = system
+        u, factor = tikhonov_factored(z, model, y, p)
+        adjoint = tikhonov_adjoint(b, z, model, p, factor)
+        with monkeypatch.context() as m:
+            self.scipy_seam(m)
+            u_ref, factor_ref = tikhonov_factored(z, model, y, p)
+            adjoint_ref = tikhonov_adjoint(b, z, model, p, factor_ref)
+        assert factor[0] == factor_ref[0] == case.split("-")[1]
+        if case == "radon-woodbury":    # solved on the live rows
+            assert factor[2].size == 612
+        assert np.array_equal(factor[1], factor_ref[1])
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(adjoint, adjoint_ref)
+
+    def test_not_positive_definite_names_the_minor(self):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            tikhonov._factor(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]))
+        assert str(info.value) == \
+            "u-update system is not positive definite (2-th leading minor)"
+
+    def test_empty_system_solves_to_zero(self):
+        # an all-zero sparse Psi leaves no live row to factor
+        model = SensingModel(sp.csr_matrix((3, 5)))
+        p = CovarianceParam.scaled_identity(5, 1.0)
+        u, factor = tikhonov_factored(np.ones(5), model, np.ones(3), p)
+        assert factor[1].shape == (0, 0) and np.array_equal(u, np.zeros(5))
+        assert np.array_equal(tikhonov_adjoint(np.ones(5), np.ones(5), model,
+                                               p, factor), np.ones(5))
 
 
 class TestLiveRows:
