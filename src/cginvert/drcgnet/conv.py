@@ -39,28 +39,12 @@ same stack also gives the kernel gradient in one GEMM.
 Any other backward takes the whole kernel gradient in one np.matmul over a
 read-only strided (k, k, span, c_in) view of the tap windows, the same
 per-tap GEMMs in the same order as a loop, and the input gradient in the
-per-tap dgemm loop.  The two halves read the same arrays and write
-disjoint ones, so when a layer does enough work (_SPLIT_MACS) and the
-process may use more than one CPU, they run at the same time: the input
-gradient on the process's one worker thread, the kernel gradient on the
-calling thread, which then waits for the worker.  The roles are fixed by
-the GIL: SciPy's f2py dgemm holds it for the whole call, np.matmul
-releases it, so only the caller's one GIL-free matmul lets the worker's
-GIL-holding dgemm chain run beside it (one 32->32 layer on a 32x32 map,
-one BLAS thread: 1.06-1.12 ms, against 2.03-2.14 ms with the roles
-reversed and 1.59-1.76 ms serial).  The worker runs BLAS on arrays and
-nothing else.  Inside single_core() no layer splits: training then runs a
-second process on the other CPU (see train.py).  Every number is the same
-on either path.
+per-tap dgemm loop, both on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -104,62 +88,6 @@ def body(xp, k, h, w):
 def _taps(k, wp):
     """Flat offsets di*wp + dj of the k*k kernel taps, di-major like kern."""
     return tuple(di * wp + dj for di in range(k) for dj in range(k))
-
-
-# A backward splits across two threads from this many multiply-adds per half
-# (k*k*c_in*c_out*span) on.  The hand-off to the worker costs about 0.1 ms;
-# with one BLAS thread and k = 3, the split lost below 3M, won and lost about
-# equally near 6M, and ran 1.3-1.6x faster at 7.7M and 10M (a 32->32 layer on
-# a 28x28 and a 32x32 map).
-_SPLIT_MACS = 6_000_000
-# CPUs this process may run on (sched_getaffinity is Linux-only)
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-# open single_core() blocks, over all threads
-_single = 0
-
-
-def _worker():
-    """The process's one conv worker thread, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="cginvert-conv")
-        return _pool
-
-
-def _forget_worker():
-    # a forked child has no worker thread; it starts its own on first use
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-@contextlib.contextmanager
-def single_core():
-    """Run every backward on its calling thread inside the block, in any
-    thread of the process: another process has the other CPU.  A child
-    forked inside the block keeps it for life."""
-    global _single
-    with _pool_lock:
-        _single += 1
-    try:
-        yield
-    finally:
-        with _pool_lock:
-            _single -= 1
-
-
-def _input_grad(dxp, flat_kern, d, taps, span):
-    """Accumulate every tap's input gradient into the zeroed buffer dxp."""
-    for t, o in enumerate(taps):
-        dgemm(1.0, flat_kern[t].T, d.T, beta=1.0, c=dxp.T[:, o:o + span],
-              trans_a=1, overwrite_c=1)
 
 
 def _windows(xp, k, wp, span):
@@ -223,18 +151,11 @@ def conv2d_backward(d, xp, kern, h, w):
         dxp = shifted.T @ flat_kern[:, :, 0]
         return dxp, (shifted @ xp).reshape(kern.shape)
     windows = _windows(xp, k, wp, span)
-    dkern = np.empty(kern.shape)
+    dkern = np.matmul(windows.swapaxes(2, 3), d)
     dxp = np.zeros(xp.shape)
-    if (cin > 1 and _CPUS > 1 and not _single
-            and k * k * cin * cout * span >= _SPLIT_MACS):
-        job = _worker().submit(_input_grad, dxp, flat_kern, d, taps, span)
-        try:
-            np.matmul(windows.swapaxes(2, 3), d, out=dkern)
-        finally:
-            job.result()
-    else:
-        np.matmul(windows.swapaxes(2, 3), d, out=dkern)
-        _input_grad(dxp, flat_kern, d, taps, span)
+    for t, o in enumerate(taps):
+        dgemm(1.0, flat_kern[t].T, d.T, beta=1.0, c=dxp.T[:, o:o + span],
+              trans_a=1, overwrite_c=1)
     return dxp, dkern
 
 

@@ -19,10 +19,8 @@ gradient.  Every array but the covariance's receives one term per sample,
 so adding the slot gives the serial sum's bits; a covariance array receives
 one term per Tikhonov block, so the worker sends those terms and the main
 process adds them one at a time.  Loss histories, gradients and checkpoints
-are thus the same bits as on one CPU.  While the worker lives, neither
-process splits a conv layer across threads (conv.single_core), and it is
-stopped and joined when train returns or raises, so no child outlives the
-call.
+are thus the same bits as on one CPU.  The worker is stopped and joined
+when train returns or raises, so no child outlives the call.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import numpy as np
 
 from ..covariance import CovarianceParam
 from ..errors import NanLossError, WorkerError
-from . import conv
 from .network import backward, forward
 from .params import NetParams, init_params, param_count
 
@@ -55,6 +52,9 @@ __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 # one-epoch calls took 0.090 s with the worker against 0.144 s serial
 # (medians of 12).
 _FORK_MACS = 30_000_000
+# CPUs this process may run on (sched_getaffinity is Linux-only)
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 
 class Adam:
@@ -138,7 +138,7 @@ def _forks(cfg, m, n):
     """Whether a batch of two or more samples pays for a worker process: the
     process may fork and use two CPUs, a sample's work clears the floor,
     and its covariance terms are no larger than a gradient."""
-    return (hasattr(os, "fork") and conv._CPUS > 1
+    return (hasattr(os, "fork") and _CPUS > 1
             and _sample_macs(cfg, m, n) >= _FORK_MACS
             and _replay_size(cfg, n) <= param_count(cfg, n))
 
@@ -192,10 +192,7 @@ class _Worker:
     and the slot the worker writes a sample's gradient to; the pipe carries
     the sample's index and scale there, and back its loss term and
     covariance terms, or the exception the sample raised.  It is forked,
-    not spawned, so it inherits the samples and the operator unpickled; the
-    one other thread the parent may have is conv's idle worker, which the
-    child forgets (conv._forget_worker runs at fork) and whose lock it
-    never takes.
+    not spawned, so it inherits the samples and the operator unpickled.
     """
 
     def __init__(self, pairs, model, params):
@@ -292,9 +289,6 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                     }
 
                 if worker is None and forks and len(batch) > 1:
-                    # the child inherits the block, so neither process
-                    # splits a conv layer while the worker lives
-                    stack.enter_context(conv.single_core())
                     worker = _Worker(pairs, model, params)
                     stack.callback(worker.close)
                 if worker is not None:

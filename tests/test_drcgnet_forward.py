@@ -1,8 +1,4 @@
 import math
-import multiprocessing
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -160,23 +156,6 @@ class TestConv:
         assert bwd_peak < dxp.nbytes + dkern.nbytes + slack
 
 
-class RecordingPool:
-    """Stands in for the conv worker pool: counts the submits and hands each
-    on to the real pool."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.submitted = []     # list.append is atomic across threads
-
-    @property
-    def calls(self):
-        return len(self.submitted)
-
-    def submit(self, fn, *args):
-        self.submitted.append(fn)
-        return self.inner.submit(fn, *args)
-
-
 def per_tap_backward(d, xp, kern, h, w):
     """A multi-channel layer's backward as one kernel-gradient matmul and
     one input-gradient dgemm per tap, both in tap order, on one thread."""
@@ -201,18 +180,9 @@ def layer_inputs(case, seed):
     return body(padded(d, k), k, h, w), padded(x, k), kern, h, w
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Let the backward split as on a machine with two usable CPUs, and
-    record the pool's submits."""
-    monkeypatch.setattr(conv, "_CPUS", 2)
-    pool = RecordingPool(conv._worker())
-    monkeypatch.setattr(conv, "_worker", lambda: pool)
-    return pool
-
-
 class TestSplitBackward:
-    # large enough to split: 10.0M and 9.3M multiply-adds per half
+    # a multi-channel backward in its two halves: the kernel gradient in one
+    # np.matmul over the tap windows, the input gradient in per-tap dgemms
     SPLIT_CASES = [(32, 32, 3, 32, 32), (32, 32, 3, 24, 40)]
 
     def test_taps_are_cached_offsets(self):
@@ -220,17 +190,15 @@ class TestSplitBackward:
         assert conv._taps(3, 34) == (0, 1, 2, 34, 35, 36, 68, 69, 70)
 
     @pytest.mark.parametrize("case", SPLIT_CASES)
-    def test_split_equals_per_tap_loop(self, case, two_cpus):
+    def test_split_equals_per_tap_loop(self, case):
         inputs = layer_inputs(case, 5)
         dxp, dkern = conv2d_backward(*inputs)
-        assert two_cpus.calls == 1
         ref_dxp, ref_dkern = per_tap_backward(*inputs)
         assert np.array_equal(dxp, ref_dxp)
         assert np.array_equal(dkern, ref_dkern)
 
     @pytest.mark.parametrize("case", SPLIT_CASES)
-    def test_tap_windows_are_a_read_only_view(self, case, two_cpus,
-                                              monkeypatch):
+    def test_tap_windows_are_a_read_only_view(self, case):
         d, xp, kern, h, w = layer_inputs(case, 10)
         k = kern.shape[0]
         _, wp, span = conv._layout(k, h, w)
@@ -240,143 +208,21 @@ class TestSplitBackward:
             assert np.array_equal(windows[t // k, t % k], xp[o:o + span])
         with pytest.raises(ValueError, match="read-only"):
             windows[0, 0, 0, 0] = 1.0
-        # the kernel gradient reads the view, split and on one CPU
+        # the kernel gradient reads the view
         ref_dkern = per_tap_backward(d, xp, kern, h, w)[1]
-        for cpus in (2, 1):
-            monkeypatch.setattr(conv, "_CPUS", cpus)
-            assert np.array_equal(conv2d_backward(d, xp, kern, h, w)[1],
-                                  ref_dkern)
-        assert two_cpus.calls == 1
+        assert np.array_equal(conv2d_backward(d, xp, kern, h, w)[1],
+                              ref_dkern)
 
     @pytest.mark.parametrize("case", CONV_CASES + [
         (1, 32, 3, 32, 32), (32, 1, 3, 32, 32), (16, 16, 3, 16, 16),
         (32, 32, 3, 16, 16)])
-    def test_small_and_single_channel_layers_stay_serial(self, case,
-                                                         two_cpus):
+    def test_small_and_single_channel_layers_stay_serial(self, case):
         inputs = layer_inputs(case, 6)
         dxp, dkern = conv2d_backward(*inputs)
-        assert two_cpus.calls == 0
         if case[1] > 1:     # a 1-channel output keeps its stacked GEMMs
             ref_dxp, ref_dkern = per_tap_backward(*inputs)
             assert np.array_equal(dxp, ref_dxp)
             assert np.array_equal(dkern, ref_dkern)
-
-    def test_single_core_blocks_stay_serial(self, two_cpus):
-        inputs = layer_inputs(self.SPLIT_CASES[0], 9)
-        with conv.single_core(), conv.single_core():
-            pass
-        with conv.single_core():
-            got = conv2d_backward(*inputs)
-        assert two_cpus.calls == 0
-        conv2d_backward(*inputs)
-        assert two_cpus.calls == 1
-        ref_dxp, ref_dkern = per_tap_backward(*inputs)
-        assert np.array_equal(got[0], ref_dxp)
-        assert np.array_equal(got[1], ref_dkern)
-
-    def test_one_cpu_stays_serial(self, two_cpus, monkeypatch):
-        monkeypatch.setattr(conv, "_CPUS", 1)
-        conv2d_backward(*layer_inputs(self.SPLIT_CASES[0], 7))
-        assert two_cpus.calls == 0
-
-    def test_threads_backward_different_tapes(self, two_cpus, monkeypatch):
-        # every multi-channel layer splits, and more caller threads than
-        # cores share the one worker: each still gets its serial gradients
-        monkeypatch.setattr(conv, "_SPLIT_MACS", 0)
-        side, n_threads, repeats = 8, 4, 5
-        model, rng = small_model(30, side * side, 21)
-        cfg = NetConfig(K=1, J=2, depth=3, kernel=3, channels=(4, 4, 1),
-                        variant="ista", refine=True)
-        params = init_params(cfg, side * side, seed=3, cov_init=0.5)
-        tapes = [forward(rng.standard_normal(30), model, params)[1]
-                 for _ in range(n_threads)]
-        g = rng.standard_normal(side * side)
-        serial = [backward(tape, g, params) for tape in tapes]
-        calls = two_cpus.calls
-        assert calls > 0
-        got = [[] for _ in tapes]
-
-        def run(i):
-            for _ in range(repeats):
-                got[i].append(backward(tapes[i], g, params))
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert two_cpus.calls == (1 + repeats) * calls
-        for i, runs in enumerate(got):
-            assert len(runs) == repeats
-            for grads in runs:
-                for key, ref in serial[i].items():
-                    assert np.array_equal(grads[key], ref), key
-
-    def test_one_worker_per_process(self, monkeypatch):
-        # threads that all find no worker yet still share one
-        monkeypatch.setattr(conv, "_pool", None)
-        pools = []
-        start = threading.Barrier(8)
-
-        def ask():
-            start.wait()
-            pools.append(conv._worker())
-
-        threads = [threading.Thread(target=ask) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(pools) == 8 and all(p is pools[0] for p in pools)
-        pools[0].shutdown()
-
-    def test_worker_exception_reaches_caller(self, two_cpus, monkeypatch):
-        inputs = layer_inputs(self.SPLIT_CASES[0], 8)
-        raised_on = []
-
-        def failing_dgemm(*args, **kwargs):
-            raised_on.append(threading.current_thread().name)
-            raise RuntimeError("dgemm failed")
-
-        monkeypatch.setattr(conv, "dgemm", failing_dgemm)
-        with pytest.raises(RuntimeError, match="dgemm failed"):
-            conv2d_backward(*inputs)
-        assert raised_on[0].startswith("cginvert-conv")
-        monkeypatch.setattr(conv, "dgemm", dgemm)
-        # the same worker serves the next layer
-        dxp, dkern = conv2d_backward(*inputs)
-        assert two_cpus.calls == 2
-        ref_dxp, ref_dkern = per_tap_backward(*inputs)
-        assert np.array_equal(dxp, ref_dxp)
-        assert np.array_equal(dkern, ref_dkern)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_starts_its_own_worker(self, monkeypatch):
-        # the parent's worker thread is not copied into a forked child; the
-        # child's first split must start one, not wait on the parent's
-        monkeypatch.setattr(conv, "_CPUS", 2)
-        inputs = layer_inputs(self.SPLIT_CASES[0], 9)
-        conv2d_backward(*inputs)
-        child = multiprocessing.get_context("fork").Process(
-            target=conv2d_backward, args=inputs)
-        child.start()
-        child.join(60)
-        hung = child.is_alive()
-        if hung:
-            child.kill()
-        assert not hung and child.exitcode == 0
 
 
 def exact_stack_reference(x, kernels, dout):

@@ -1,6 +1,7 @@
 import importlib
 import multiprocessing
 import os
+import threading
 import weakref
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from cginvert.drcgnet import (
     NetConfig,
     TrainConfig,
+    conv2d_backward,
     evaluate_mae,
     forward,
     init_params,
@@ -19,7 +21,7 @@ from cginvert.drcgnet import (
     save_checkpoint,
     train,
 )
-from cginvert.drcgnet import conv
+from cginvert.drcgnet.conv import body, padded
 from cginvert.errors import NanLossError, WorkerError
 from cginvert.data_metrics import gen_dataset
 from cginvert.sensing import build_radon
@@ -166,7 +168,7 @@ def workers(monkeypatch):
 def forked(workers, monkeypatch):
     """Split every batch of two or more samples across the worker process,
     as for a large net on a machine with two usable CPUs."""
-    monkeypatch.setattr(conv, "_CPUS", 2)
+    monkeypatch.setattr(train_module, "_CPUS", 2)
     monkeypatch.setattr(train_module, "_FORK_MACS", 0)
     return workers
 
@@ -291,9 +293,25 @@ class TestWorkerProcess:
         assert len(forked) == 1 and forked[0].proc.exitcode is not None
         assert multiprocessing.active_children() == []
 
+    def test_library_starts_no_thread(self, forked):
+        # a worker forked from a single-threaded process inherits no lock
+        # that another thread held, so both steps must leave the count be
+        before = threading.active_count()
+        rng = np.random.default_rng(0)
+        k, side, ch = 3, 32, 32
+        xp = padded(rng.standard_normal((side, side, ch)), k)
+        d = body(padded(rng.standard_normal((side, side, ch)), k), k, side,
+                 side)
+        conv2d_backward(d, xp, rng.standard_normal((k, k, ch, ch)), side, side)
+        model, ds, cfg = toy_setup()
+        train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1, batch=2),
+              cov_init=0.1)
+        assert len(forked) == 1
+        assert threading.active_count() == before
+
     def test_small_net_never_forks(self, workers, monkeypatch):
         # a train-toy epoch takes about 20 ms; a fork costs about 10
-        monkeypatch.setattr(conv, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_CPUS", 2)
         model, ds, cfg = toy_setup(n_samples=6)
         train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=2, batch=2),
               cov_init=0.1)
@@ -303,7 +321,7 @@ class TestWorkerProcess:
                                                    monkeypatch):
         # the README net on Radon 32x32/15: 0.74M conv multiply-adds, 329M
         # with the Cholesky factors
-        monkeypatch.setattr(conv, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_CPUS", 2)
         model = build_radon(32, 15)
         ds = gen_dataset("synthetic", model, 60.0, 2, seed=11)
         _, _, cfg = toy_setup()
@@ -315,7 +333,7 @@ class TestWorkerProcess:
     def test_gate(self, monkeypatch):
         # (m, n) of Radon 32x32/15 and 8x8/6
         big, small = (690, 32 * 32), (72, 64)
-        monkeypatch.setattr(conv, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_CPUS", 2)
         paper = NetConfig()
         _, _, toy = toy_setup()
         assert train_module._forks(paper, *big)
@@ -326,9 +344,9 @@ class TestWorkerProcess:
         dense = NetConfig(cov_kind="full", u_mode="nagd", nagd_eta=0.1)
         assert train_module._replay_size(dense, 1024) > param_count(dense, 1024)
         assert not train_module._forks(dense, *big)
-        monkeypatch.setattr(conv, "_CPUS", 1)
+        monkeypatch.setattr(train_module, "_CPUS", 1)
         assert not train_module._forks(paper, *big)
-        monkeypatch.setattr(conv, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_CPUS", 2)
         monkeypatch.delattr(os, "fork")
         assert not train_module._forks(paper, *big)
 
@@ -337,7 +355,7 @@ class TestWorkerProcess:
     def test_small_image_nets_stay_serial(self, monkeypatch, channels):
         # 8x8 nets of 2-16M conv multiply-adds lost with the worker; their
         # factors add 0.35M at most
-        monkeypatch.setattr(conv, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_CPUS", 2)
         cfg = NetConfig(depth=len(channels), channels=channels)
         macs = train_module._sample_macs(cfg, 72, 64)
         assert 2e6 < macs < 16e6
