@@ -136,7 +136,7 @@ def cmd_solve(args):
 def _split_validation(ds, fraction):
     if fraction < 0.0:
         raise ConfigError(f"train.val_fraction must be >= 0, got {fraction!r}")
-    if fraction == 0.0 or len(ds) < 2:
+    if fraction == 0.0:
         return ds.pairs, None
     # a fraction of 1 or more, inf or NaN leaves nothing to train on
     n_val = max(1, int(round(fraction * len(ds)))) if fraction < 1.0 else len(ds)
@@ -216,9 +216,8 @@ def cmd_diagnose(args):
 
 def cmd_param_count(args):
     cfg = _load_cfg(args)
-    side = cfg.get("sensing.side")
     net_cfg = cfgmod.build_net_config(cfg)
-    print(param_count(net_cfg, side * side))
+    print(param_count(net_cfg, cfgmod.signal_size(cfg)))
     return 0
 
 

@@ -162,11 +162,19 @@ class RunConfig:
         return val
 
 
+def signal_size(cfg):
+    """Signal length n, the square of sensing.side."""
+    side = cfg.get("sensing.side")
+    if side < 1:
+        raise ConfigError(f"sensing.side must be >= 1, got {side}")
+    return side * side
+
+
 def build_model(cfg):
     """SensingModel from the sensing.* section."""
     kind = cfg.require("sensing.kind")
+    n = signal_size(cfg)
     side = cfg.get("sensing.side")
-    n = side * side
     scale = cfg.get("sensing.scale")
     if not 0.0 < abs(scale) < float("inf"):
         raise ConfigError(f"sensing.scale must be finite and nonzero, got {scale:g}")

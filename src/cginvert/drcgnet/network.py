@@ -141,11 +141,11 @@ def _tikh_forward(z, u_prev, model, y, p, cfg):
     return u, {"z": z, "u": u, "factor": factor}
 
 
-def _cov_term(a, b, p, scale, grads):
+def _cov_term(a, b, p, scale, cov):
     """Add scale times the P-derivative of <a, A_z^T y - (A_z^T A_z + P^{-1}) b>,
-    b held fixed, to grads."""
+    b held fixed, to cov."""
     for key, g in p.outer_grad(p.solve(a), p.solve(b), scale).items():
-        grads[key] += g
+        cov[key] += g
 
 
 def _z_term(a, b, z, model, ay):
@@ -154,19 +154,19 @@ def _z_term(a, b, z, model, ay):
         - b * model.adjoint(model.apply(z * a))
 
 
-def _tikh_backward(ubar, rec, model, ay, p, grads, first):
+def _tikh_backward(ubar, rec, model, ay, p, cov, first):
     """Backward through a Tikhonov block; ay is A^T y.
 
     Returns (zbar_contribution, ubar_prev), ubar_prev being the gradient
     w.r.t. the accelerated mode's warm start and None for the exact solve.
     The first block's z and warm start are constants of the input, so there
-    both are None and neither is computed.  Covariance gradients are added
-    to grads.
+    both are None and neither is computed.  The block's covariance terms are
+    added to cov, the sample's covariance sum.
     """
     z = rec["z"]
     if "factor" in rec:
         w = tikhonov_adjoint(ubar, z, model, p, rec["factor"])
-        _cov_term(w, rec["u"], p, 1.0, grads)
+        _cov_term(w, rec["u"], p, 1.0, cov)
         return (None if first else _z_term(w, rec["u"], z, model, ay)), None
 
     # accelerated mode: reverse through the momentum recursion
@@ -188,7 +188,7 @@ def _tikh_backward(ubar, rec, model, ay, p, grads, first):
             # the first block's u_0 is the constant zero vector
             a1, a2 = rb - eta * (z * model.adjoint(model.apply(z * rb))
                                  + p.solve(rb)), a1
-        _cov_term(rb, uj, p, eta, grads)
+        _cov_term(rb, uj, p, eta, cov)
         if zbar is not None:
             zbar += eta * _z_term(rb, uj, z, model, ay)
     return zbar, (None if first else a1)
@@ -257,13 +257,17 @@ def backward(tape, grad_out, params, grads=None):
     """Exact reverse-mode gradients of <grad_out, forward output> w.r.t.
     every learnable parameter, added into grads (a dict matching
     params.values; fresh zeros when None), which is returned.  Each
-    parameter array receives its terms in a fixed order, so a batch sum
-    built by passing one dict through its samples' calls is deterministic."""
+    parameter array receives exactly one term per call: the covariance,
+    shared by every Tikhonov block, sums its block terms in a fixed order
+    first.  So a batch sum built by passing one dict through its samples'
+    calls is deterministic, and adding a sample's gradient taken from zeros
+    gives the same bits as passing the dict."""
     cfg = params.cfg
     model, y = tape.model, tape.y
     p = params.cov()
     if grads is None:
         grads = params.zero_grads()
+    cov = {key: np.zeros_like(val) for key, val in p.arrays.items()}
     ay = model.adjoint(y)
     recs = reversed(tape.records)
 
@@ -279,7 +283,7 @@ def backward(tape, grad_out, params, grads=None):
     rec = next(recs)
     ubar, zbar = cbar * rec["z"], cbar * rec["u"]
     for k in range(cfg.K, 0, -1):
-        zc, ubar = _tikh_backward(ubar, rec, model, ay, p, grads, first=False)
+        zc, ubar = _tikh_backward(ubar, rec, model, ay, p, cov, first=False)
         zbar = zbar + zc
         for j in range(cfg.J, 0, -1):
             zbar, ub, dbar, dkerns = _gmap_backward(zbar, next(recs), model,
@@ -289,5 +293,7 @@ def backward(tape, grad_out, params, grads=None):
             for d, dk in enumerate(dkerns, start=1):
                 grads[f"w.{k}.{j}.{d}"] += dk
         rec = next(recs)
-    _tikh_backward(ubar, rec, model, ay, p, grads, first=True)
+    _tikh_backward(ubar, rec, model, ay, p, cov, first=True)
+    for key, g in cov.items():
+        grads[key] += g
     return grads

@@ -1,8 +1,9 @@
 """Deterministic training of the unrolled network on mean absolute error.
 
 The batch gradient is the mean over samples, each sample's backward adding
-its terms straight into the one batch dict in fixed sample order; no
-shuffling, so a fixed seed reproduces the loss history bit for bit.
+its one term per array straight into the one batch dict in fixed sample
+order; no shuffling, so a fixed seed reproduces the loss history bit for
+bit.
 
 Where the process may fork and use two CPUs and one sample's work (conv
 and Cholesky multiply-adds) clears _FORK_MACS (_forks), a batch runs its
@@ -15,18 +16,16 @@ gradient slot whatever the batch size.
 The worker reads the parameters from a shared mirror that the main process
 refills before each batch, and writes its sample's gradient, started from
 zeros, to a shared slot; the main process then adds the slot into the batch
-gradient.  Every array but the covariance's receives one term per sample,
-so adding the slot gives the serial sum's bits; a covariance array receives
-one term per Tikhonov block, so the worker sends those terms and the main
-process adds them one at a time.  Loss histories, gradients and checkpoints
-are thus the same bits as on one CPU.  The worker is stopped and joined
-when train returns or raises, so no child outlives the call.
+gradient.  A sample's backward adds one term to each array, the covariance's
+block terms summed first, so adding the slot gives the serial sum's bits:
+loss histories, gradients and checkpoints are the same as on one CPU.  The
+worker is stopped and joined when train returns or raises, so no child
+outlives the call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import mmap
 import multiprocessing
 import os
@@ -34,10 +33,9 @@ import signal
 
 import numpy as np
 
-from ..covariance import CovarianceParam
 from ..errors import NanLossError, WorkerError
 from .network import backward, forward
-from .params import NetParams, init_params, param_count
+from .params import NetParams, init_params
 
 __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 
@@ -126,30 +124,12 @@ def _sample_macs(cfg, m, n):
     return convs + factors * min(m, n) ** 3 // 3
 
 
-def _replay_size(cfg, n):
-    """Floats of the covariance terms one worker sample sends: one term per
-    exact Tikhonov block, nagd_steps per accelerated one."""
-    terms = (cfg.K + 1) * (1 if cfg.u_mode == "exact" else cfg.nagd_steps)
-    shapes = CovarianceParam.array_shapes(cfg.cov_kind, n).values()
-    return terms * sum(map(math.prod, shapes))
-
-
 def _forks(cfg, m, n):
     """Whether a batch of two or more samples pays for a worker process: the
-    process may fork and use two CPUs, a sample's work clears the floor,
-    and its covariance terms are no larger than a gradient."""
+    process may fork and use two CPUs, and a sample's work clears the
+    floor."""
     return (hasattr(os, "fork") and _CPUS > 1
-            and _sample_macs(cfg, m, n) >= _FORK_MACS
-            and _replay_size(cfg, n) <= param_count(cfg, n))
-
-
-class _Terms(list):
-    """Stands in for a covariance gradient in the worker: keeps each term
-    added to it, in order."""
-
-    def __iadd__(self, term):
-        self.append(term)
-        return self
+            and _sample_macs(cfg, m, n) >= _FORK_MACS)
 
 
 def _views(flat, like):
@@ -169,20 +149,17 @@ def _serve(conn, parent_end, pairs, model, params, shared):
     mirror, flat_slot = np.split(shared, 2)
     params = NetParams(params.cfg, params.n, dict(_views(mirror, params.values)))
     slot = dict(_views(flat_slot, params.values))
-    cov_keys = CovarianceParam.array_shapes(params.cfg.cov_kind, params.n)
     while True:
         try:
             idx, inv = conn.recv()
         except EOFError:
             return
         flat_slot.fill(0.0)
-        grads = {**slot, **{key: _Terms() for key in cov_keys}}
         try:
-            loss = _sample(pairs[idx], model, params, inv, grads)
+            reply = _sample(pairs[idx], model, params, inv, slot)
         except Exception as exc:  # the parent raises it, as one process would
-            conn.send(exc)
-        else:
-            conn.send((loss, {key: grads[key] for key in cov_keys}))
+            reply = exc
+        conn.send(reply)
 
 
 class _Worker:
@@ -190,9 +167,9 @@ class _Worker:
 
     Shared memory holds a mirror of the parameters, which refresh() fills,
     and the slot the worker writes a sample's gradient to; the pipe carries
-    the sample's index and scale there, and back its loss term and
-    covariance terms, or the exception the sample raised.  It is forked,
-    not spawned, so it inherits the samples and the operator unpickled.
+    the sample's index and scale there, and back its loss term or the
+    exception the sample raised.  It is forked, not spawned, so it inherits
+    the samples and the operator unpickled.
     """
 
     def __init__(self, pairs, model, params):
@@ -229,20 +206,16 @@ class _Worker:
             raise self._died() from None
 
     def add_result(self, grads):
-        """Wait for the submitted sample; add its gradient into grads, each
-        covariance term on its own, and return its loss term."""
+        """Wait for the submitted sample; add its gradient into grads and
+        return its loss term."""
         try:
-            msg = self.conn.recv()
+            loss = self.conn.recv()
         except EOFError:
             raise self._died() from None
-        if isinstance(msg, Exception):
-            raise msg
-        loss, terms = msg
-        # a covariance array takes the worker's terms one by one, any other
-        # array the slot's one term
+        if isinstance(loss, Exception):
+            raise loss
         for key, g in _views(self.slot, grads):
-            for term in terms.get(key, (g,)):
-                grads[key] += term
+            grads[key] += g
         return loss
 
     def close(self):

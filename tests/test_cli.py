@@ -133,9 +133,10 @@ class TestSolve:
 class TestMalformedInput:
     """Corrupt files end in the documented exit code with a one-line message."""
 
-    def gen(self, cfg_path, tmp_path):
+    def gen(self, cfg_path, tmp_path, *sets):
         ds = tmp_path / "ds"
-        assert run("gen-data", "--config", cfg_path, "--out", str(ds)) == 0
+        assert run("gen-data", "--config", cfg_path, *sets, "--out",
+                   str(ds)) == 0
         return ds
 
     def solve_code(self, cfg_path, tmp_path, ds, capsys):
@@ -315,6 +316,10 @@ class TestMalformedInput:
         ("solve", ["solver.b=nan"], "clamp bound b"),
         ("solve", ["reg.mu=-1"], "mu > 0"),
         ("train", ["train.val_fraction=2"], "no training samples"),
+        ("train", ["data.samples=1", "train.val_fraction=0.5"],
+         "leaves no training samples out of 1"),
+        ("train", ["data.samples=1", "train.val_fraction=0.5",
+                   "train.patience=1"], "leaves no training samples out of 1"),
         ("solve", ["zstep.eta=nan", "zstep.linesearch=fixed"],
          "linesearch eta"),
         ("solve", ["tikhonov.eta=nan"], "NagdConfig.eta"),
@@ -332,13 +337,17 @@ class TestMalformedInput:
             "solver-eps-negative", "net-cov-unknown", "side-0", "angles-0",
             "gaussian-m-above-n", "epochs-0", "lr-nan", "beta1-nan",
             "eps_adam-nan", "gamma_max-nan", "net-b-nan", "solver-b-nan",
-            "mu-negative", "val_fraction-2", "zstep-eta-nan",
+            "mu-negative", "val_fraction-2", "val_fraction-one-sample",
+            "patience-one-sample", "zstep-eta-nan",
             "tikhonov-eta-nan", "nagd-eta-nan", "stop_tol-nan", "batch-negative",
             "val_fraction-negative", "patience-negative", "channels-zero",
             "kernel-negative", "depth-zero"])
     def test_bad_config_value(self, cfg_path, tmp_path, capsys, command, sets,
                               expect):
-        ds = self.gen(cfg_path, tmp_path)
+        # data.* values make the dataset; the command gets every value
+        ds = self.gen(cfg_path, tmp_path,
+                      *[arg for kv in sets if kv.startswith("data.")
+                        for arg in ("--set", kv)])
         overrides = [arg for kv in sets for arg in ("--set", kv)]
         code, err = self.one_line_error(
             capsys, command, "--config", cfg_path, *overrides,
@@ -753,6 +762,15 @@ class TestParamCount:
             "net.channels = 32,32,32,32,32,32,32,1\nnet.cov = scaled_identity\n")
         assert run("param-count", "--config", str(cfg)) == 0
         assert capsys.readouterr().out.strip() == "726350"
+
+    @pytest.mark.parametrize("sets", [
+        ["sensing.side=0"], ["sensing.side=0", "net.cov=tridiagonal"],
+        ["sensing.side=-3"]], ids=["side-0", "side-0-tridiagonal", "side-negative"])
+    def test_side_below_one(self, capsys, sets):
+        code, err = TestMalformedInput.one_line_error(
+            capsys, "param-count", *[arg for kv in sets for arg in ("--set", kv)])
+        assert code == 2 and err.startswith("config error: sensing.side must "
+                                            "be >= 1")
 
 
 class TestDiagnose:

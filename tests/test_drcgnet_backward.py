@@ -216,19 +216,27 @@ class TestBackwardWork:
         assert calls["solve"] == 3 * (K + 1) * steps - 1
 
     def test_adds_into_a_passed_gradient_dict(self):
+        # every array takes one term per call, so passing G0 gives the bits
+        # of G0 + a fresh gradient: the contract the training worker's slot
+        # relies on
         model, y, rng = fd_instance(seed=13)
-        cfg = NetConfig(K=2, J=1, depth=2, kernel=3, channels=(3, 1),
-                        cov_kind="diagonal", refine=True)
-        params = init_params(cfg, model.n, seed=2, cov_init=0.5)
-        _, tape = forward(y, model, params)
-        w = rng.standard_normal(model.n)
-        fresh = backward(tape, w, params)
-        start = {key: rng.standard_normal(g.shape) for key, g in fresh.items()}
-        into = {key: g.copy() for key, g in start.items()}
-        assert backward(tape, w, params, into) is into
-        for key, g in fresh.items():
-            assert np.allclose(into[key], start[key] + g, rtol=1e-13,
-                               atol=1e-13), key
+        for cov_kind in ("scaled_identity", "diagonal", "tridiagonal", "full"):
+            for u_mode in ("exact", "nagd"):
+                cfg = NetConfig(K=2, J=1, depth=2, kernel=3, channels=(3, 1),
+                                cov_kind=cov_kind, u_mode=u_mode, nagd_steps=5,
+                                nagd_eta=0.05 if u_mode == "nagd" else None,
+                                refine=True)
+                params = init_params(cfg, model.n, seed=2, cov_init=0.5)
+                _, tape = forward(y, model, params)
+                w = rng.standard_normal(model.n)
+                fresh = backward(tape, w, params)
+                start = {key: rng.standard_normal(g.shape)
+                         for key, g in fresh.items()}
+                into = {key: g.copy() for key, g in start.items()}
+                assert backward(tape, w, params, into) is into
+                for key, g in fresh.items():
+                    assert np.array_equal(into[key], start[key] + g), \
+                        (cov_kind, u_mode, key)
 
 
 class TestConvCallContract:

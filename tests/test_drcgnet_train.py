@@ -17,7 +17,6 @@ from cginvert.drcgnet import (
     init_params,
     load_checkpoint,
     mae,
-    param_count,
     save_checkpoint,
     train,
 )
@@ -212,11 +211,13 @@ class TestWorkerProcess:
     @pytest.mark.parametrize("batch", [1, 2, 3, 0])
     @pytest.mark.parametrize("cov_kind,u_mode", [
         ("scaled_identity", "exact"), ("diagonal", "exact"),
-        ("scaled_identity", "nagd"), ("diagonal", "nagd")])
+        ("scaled_identity", "nagd"), ("diagonal", "nagd"),
+        ("tridiagonal", "exact"), ("full", "exact"),
+        ("tridiagonal", "nagd"), ("full", "nagd")])
     def test_same_bits_as_one_process(self, forked, monkeypatch, tmp_path,
                                       batch, cov_kind, u_mode):
-        # nagd_steps=3 keeps the replayed covariance terms within the
-        # gradient's size, so the diagonal nagd net may fork too
+        # nagd_steps=3: a 100-step solve at nagd_eta 0.05 diverges on this
+        # operator (DivergenceError)
         model, ds, cfg = toy_setup(n_samples=5)
         cfg = replace(cfg, cov_kind=cov_kind, u_mode=u_mode, nagd_eta=0.05,
                       nagd_steps=3)
@@ -340,10 +341,9 @@ class TestWorkerProcess:
         assert not train_module._forks(toy, *small)
         # at 32x32/15 the u-update's factors carry the README net over
         assert train_module._forks(toy, *big)
-        # a dense covariance's terms outweigh the gradient at 100 nagd steps
+        # a dense covariance at 100 nagd steps forks like any other net
         dense = NetConfig(cov_kind="full", u_mode="nagd", nagd_eta=0.1)
-        assert train_module._replay_size(dense, 1024) > param_count(dense, 1024)
-        assert not train_module._forks(dense, *big)
+        assert train_module._forks(dense, *big)
         monkeypatch.setattr(train_module, "_CPUS", 1)
         assert not train_module._forks(paper, *big)
         monkeypatch.setattr(train_module, "_CPUS", 2)
