@@ -133,10 +133,10 @@ def _gmap_backward(zbar_out, rec, model, kernels):
 
 def _tikh_forward(z, u_prev, model, y, p, cfg):
     if cfg.u_mode == "nagd":
-        u, trace, eta = tikhonov_nagd(
+        u, trace = tikhonov_nagd(
             u_prev, z, model, y, p,
             NagdConfig(steps=cfg.nagd_steps, eta=cfg.nagd_eta), want_trace=True)
-        return u, {"z": z, "u": u, "trace": trace, "eta": eta}
+        return u, {"z": z, "u": u, "trace": trace, "eta": cfg.nagd_eta}
     u, factor = tikhonov_factored(z, model, y, p)
     return u, {"z": z, "u": u, "factor": factor}
 

@@ -33,7 +33,7 @@ import signal
 
 import numpy as np
 
-from ..errors import NanLossError, WorkerError
+from ..errors import DivergenceError, NanLossError, WorkerError
 from .network import backward, forward
 from .params import NetParams, init_params
 
@@ -240,7 +240,7 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
         params = init_params(cfg_net, n, seed=cfg_train.seed, cov_init=cov_init)
     opt = Adam(cfg_train.lr, cfg_train.beta1, cfg_train.beta2, cfg_train.eps_adam)
     history = {"train_mae": [], "val_mae": []}
-    best = (np.inf, None, -1)
+    best = (np.inf, None)
     since_best = 0
     forks = _forks(cfg_net, model.m, n)
     worker = None
@@ -252,15 +252,6 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                 grads = params.zero_grads()
                 loss = 0.0
                 inv = 1.0 / (len(batch) * n)
-
-                def _dump():
-                    return {
-                        "epoch": epoch,
-                        "loss": loss,
-                        "param_norms": {k: float(np.linalg.norm(v))
-                                        for k, v in params.values.items()},
-                    }
-
                 if worker is None and forks and len(batch) > 1:
                     worker = _Worker(pairs, model, params)
                     stack.callback(worker.close)
@@ -278,18 +269,18 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                         else:
                             loss += _sample(pairs[todo.pop(0)], model, params,
                                             inv, grads)
-                except np.linalg.LinAlgError as exc:
-                    # diverged parameters break the inner factorization
-                    # before the loss itself turns non-finite
+                except (np.linalg.LinAlgError, DivergenceError) as exc:
+                    # diverged parameters break the inner factorization, or
+                    # an accelerated u-update, before the loss itself turns
+                    # non-finite
                     raise NanLossError(f"solver breakdown at epoch {epoch}: "
-                                       f"{exc}", dump=_dump())
+                                       f"{exc}")
                 if not np.isfinite(loss):
-                    raise NanLossError(f"non-finite loss at epoch {epoch}",
-                                       dump=_dump())
+                    raise NanLossError(f"non-finite loss at epoch {epoch}")
                 opt.step(params.values, grads)
                 if not all(np.isfinite(v).all() for v in params.values.values()):
                     raise NanLossError(f"non-finite parameters after an update "
-                                       f"at epoch {epoch}", dump=_dump())
+                                       f"at epoch {epoch}")
                 epoch_loss += loss * len(batch)
 
             history["train_mae"].append(epoch_loss / len(pairs))
@@ -298,7 +289,7 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                 history["val_mae"].append(vm)
                 if cfg_train.patience is not None:
                     if vm < best[0]:
-                        best = (vm, params.copy(), epoch)
+                        best = (vm, params.copy())
                         since_best = 0
                     else:
                         since_best += 1

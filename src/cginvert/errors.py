@@ -45,11 +45,7 @@ class NonMonotoneCostError(NumericalError):
 
 
 class NanLossError(NumericalError):
-    """Training loss became non-finite."""
-
-    def __init__(self, message, dump=None):
-        super().__init__(message)
-        self.dump = dump or {}
+    """Training loss, parameters or a sample's solve broke down."""
 
 
 class WorkerError(CgInvertError):

@@ -45,7 +45,6 @@ __all__ = [
     "tikhonov_solve",
     "tikhonov_factored",
     "tikhonov_adjoint",
-    "r_u_step",
     "tikhonov_nagd",
     "nagd_momentum",
     "u_objective",
@@ -185,11 +184,6 @@ def tikhonov_adjoint(b, z, model, p, factor):
         _backsolve(cho, model.apply(z * pb), live)))
 
 
-def r_u_step(u, z, model, y, p, eta):
-    """One plain gradient step  u - eta * grad_u(u, z)."""
-    return u - eta * grad_u(u, z, model, y, p)
-
-
 def nagd_momentum(j):
     """Momentum weight used for the step that produces iterate j+1."""
     return 1.0 - 3.0 / (6.0 + j)
@@ -204,37 +198,42 @@ def estimate_u_lipschitz(z, model, p):
 def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
     """Approximate the Tikhonov solution by Nesterov-accelerated descent.
 
-    u^(j+1) = r_u(u^(j)) + beta_j (r_u(u^(j)) - r_u(u^(j-1))) with
-    beta_j = 1 - 3/(6+j) and u^(0) = u^(-1) = u0.  Raises DivergenceError
-    once the u-objective grows for 10 consecutive steps while sitting above
-    its starting value; momentum ripples below the start level are benign.
+    u^(j+1) = r(u^(j)) + beta_j (r(u^(j)) - r(u^(j-1))), where r(u) =
+    u - eta * grad_u(u, z) is a plain gradient step, beta_j = 1 - 3/(6+j)
+    and u^(0) = u^(-1) = u0.  One apply and one P-solve per iterate give
+    both its u-objective and, with one adjoint, its gradient step, so
+    `steps` steps make steps+1 applies and P-solves and `steps` adjoints.
+    Raises DivergenceError once the u-objective has risen for
+    min(10, steps) consecutive steps while above its starting value;
+    momentum ripples below the start level are benign, and the first step
+    is a plain gradient step, which does not rise for eta below 2/L.  With
+    want_trace, returns (u, [u^(0), ..., u^(steps)]).
     """
     eta = cfg.eta
     if eta is None:
         lip = estimate_u_lipschitz(z, model, p)
         eta = 1.0 / lip if lip > 0 else 1.0
-    u_prev = np.array(u0, dtype=np.float64, copy=True)
-    r_prev = r_u_step(u_prev, z, model, y, p, eta)
-    trace = [u_prev.copy()] if want_trace else None
-    u = u_prev
-    f_start = u_objective(u, z, model, y, p)
-    f_last = f_start
+    u = np.array(u0, dtype=np.float64, copy=True)
+    trace = [u] if want_trace else None
+    limit = min(10, cfg.steps)
     grow = 0
-    for j in range(cfg.steps):
-        r_cur = r_u_step(u, z, model, y, p, eta) if j > 0 else r_prev
-        beta = nagd_momentum(j)
-        u_next = r_cur + beta * (r_cur - r_prev)
-        r_prev = r_cur
-        u = u_next
+    for j in range(cfg.steps + 1):
+        res = model.apply(z * u) - y
+        pu = p.solve(u)
+        f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # u_objective
+        if j == 0:
+            f_start = f_last = f
+        grow = grow + 1 if (f > f_last and f > f_start) else 0
+        if grow >= limit:
+            raise DivergenceError(f"u-objective grew for {limit} consecutive "
+                                  f"accelerated steps (eta={eta:g})")
+        f_last = f
+        if j == cfg.steps:
+            return (u, trace) if want_trace else u
+        r = u - eta * (z * model.adjoint(res) + pu)
+        if j == 0:  # r(u^(-1)) = r(u^(0))
+            r_prev = r
+        u = r + nagd_momentum(j) * (r - r_prev)
+        r_prev = r
         if want_trace:
-            trace.append(u.copy())
-        f_now = u_objective(u, z, model, y, p)
-        grow = grow + 1 if (f_now > f_last and f_now > f_start) else 0
-        if grow >= 10:
-            raise DivergenceError(
-                f"u-objective grew for 10 consecutive accelerated steps (eta={eta:g})"
-            )
-        f_last = f_now
-    if want_trace:
-        return u, trace, eta
-    return u
+            trace.append(u)

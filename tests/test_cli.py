@@ -681,6 +681,23 @@ class TestTrainEval:
                    "--dataset", str(ds), "--out", str(tmp_path / "ck"))
         assert code == 4
 
+    def test_diverging_accelerated_u_update_exits_4(self, cfg_path, tmp_path,
+                                                    capsys):
+        # 3 steps, fewer than the guard's run of 10 rising steps; nagd_eta
+        # 0.05 is 17-50 times 1/L of the first u-block on this data (L is
+        # 337-1036), so every step rises
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--out", str(ds))
+        capsys.readouterr()
+        code = run("train", "--config", cfg_path, "--set", "net.u_mode=nagd",
+                   "--set", "net.nagd_eta=0.05", "--set", "net.nagd_steps=3",
+                   "--dataset", str(ds), "--out", str(tmp_path / "ck"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == ("numerical failure: solver breakdown at epoch 0: "
+                       "u-objective grew for 3 consecutive accelerated steps "
+                       "(eta=0.05)\n")
+
     def test_nan_training_on_woodbury_route_exits_4(self, cfg_path, tmp_path,
                                                     capsys):
         # 4 angles give m=48 < n=64: the diverged scales reach the Woodbury

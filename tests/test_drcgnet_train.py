@@ -21,7 +21,7 @@ from cginvert.drcgnet import (
     train,
 )
 from cginvert.drcgnet.conv import body, padded
-from cginvert.errors import NanLossError, WorkerError
+from cginvert.errors import DivergenceError, NanLossError, WorkerError
 from cginvert.data_metrics import gen_dataset
 from cginvert.sensing import build_radon
 
@@ -65,9 +65,8 @@ class TestTrain:
     def test_nan_loss_aborts_with_dump(self):
         model, ds, cfg = toy_setup()
         tcfg = TrainConfig(lr=1e12, epochs=50, seed=0)
-        with pytest.raises(NanLossError) as info:
+        with pytest.raises(NanLossError, match=r"at epoch \d+"):
             train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
-        assert "epoch" in info.value.dump
 
     def test_diverged_only_update_aborts_with_dump(self):
         # measurements and images 1e3 times brighter push a batch gradient
@@ -75,10 +74,9 @@ class TestTrain:
         model, ds, cfg = toy_setup()
         pairs = [(1e3 * y, 1e3 * c) for y, c in ds.pairs]
         tcfg = TrainConfig(lr=1e308, epochs=1, seed=0)
-        with pytest.raises(NanLossError, match="non-finite parameters") as info, \
-                np.errstate(over="ignore"):
+        with pytest.raises(NanLossError, match="non-finite parameters after "
+                           "an update at epoch 0"), np.errstate(over="ignore"):
             train(pairs, model, cfg, tcfg, cov_init=0.1)
-        assert "epoch" in info.value.dump
 
     def test_full_batch_history_is_mae_before_each_update(self):
         model, ds, cfg = toy_setup()
@@ -207,6 +205,11 @@ def breakdown():
     raise np.linalg.LinAlgError("leading minor not positive definite")
 
 
+def divergence():
+    raise DivergenceError("u-objective grew for 3 consecutive accelerated "
+                          "steps (eta=0.05)")
+
+
 class TestWorkerProcess:
     @pytest.mark.parametrize("batch", [1, 2, 3, 0])
     @pytest.mark.parametrize("cov_kind,u_mode", [
@@ -216,10 +219,10 @@ class TestWorkerProcess:
         ("tridiagonal", "nagd"), ("full", "nagd")])
     def test_same_bits_as_one_process(self, forked, monkeypatch, tmp_path,
                                       batch, cov_kind, u_mode):
-        # nagd_steps=3: a 100-step solve at nagd_eta 0.05 diverges on this
-        # operator (DivergenceError)
+        # nagd_eta 2e-5 is below 1/L of every u-block these runs take (L is
+        # 25-18172); at 0.05 every accelerated step rises (DivergenceError)
         model, ds, cfg = toy_setup(n_samples=5)
-        cfg = replace(cfg, cov_kind=cov_kind, u_mode=u_mode, nagd_eta=0.05,
+        cfg = replace(cfg, cov_kind=cov_kind, u_mode=u_mode, nagd_eta=2e-5,
                       nagd_steps=3)
         tcfg = TrainConfig(lr=1e-3, epochs=3, batch=batch, seed=0)
         args = (ds.pairs, model, cfg, tcfg)
@@ -242,19 +245,23 @@ class TestWorkerProcess:
 
     def test_worker_breakdown_ends_as_on_one_process(self, forked,
                                                       monkeypatch):
+        # a factorization breakdown and a diverged accelerated u-update
         model, ds, cfg = toy_setup()
         tcfg = TrainConfig(lr=1e-3, epochs=2, batch=2, seed=0)
-        fail_on_sample(monkeypatch, ds.pairs, 1, breakdown)
-        errors = []
-        for floor in (float("inf"), 0):
-            monkeypatch.setattr(train_module, "_FORK_MACS", floor)
-            with pytest.raises(NanLossError, match="solver breakdown at "
-                               "epoch 0: leading minor") as info:
-                train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
-            errors.append((str(info.value), info.value.dump))
-            assert multiprocessing.active_children() == []
-        assert [w.submitted for w in forked] == [[1]]
-        assert errors[0] == errors[1]
+        for fail, cause in ((breakdown, "leading minor"),
+                            (divergence, "u-objective grew")):
+            with monkeypatch.context() as m:
+                fail_on_sample(m, ds.pairs, 1, fail)
+                errors = []
+                for floor in (float("inf"), 0):
+                    m.setattr(train_module, "_FORK_MACS", floor)
+                    with pytest.raises(NanLossError, match="solver breakdown "
+                                       f"at epoch 0: {cause}") as info:
+                        train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+                    errors.append(str(info.value))
+                    assert multiprocessing.active_children() == []
+            assert errors[0] == errors[1]
+        assert [w.submitted for w in forked] == [[1], [1]]
 
     def test_dead_worker_is_a_one_line_error(self, forked, monkeypatch):
         model, ds, cfg = toy_setup()

@@ -17,7 +17,6 @@ from cginvert.tikhonov import (
     NagdConfig,
     estimate_u_lipschitz,
     grad_u,
-    r_u_step,
     tikhonov_adjoint,
     tikhonov_factored,
     tikhonov_nagd,
@@ -495,13 +494,8 @@ class TestGradientStep:
     def test_fixed_point_at_solution(self):
         model, y, z, p = make_instance(6, 9, 8)
         u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
-        u_next = r_u_step(u_star, z, model, y, p, eta=0.01)
+        u_next = u_star - 0.01 * grad_u(u_star, z, model, y, p)
         assert np.linalg.norm(u_next - u_star) < 1e-8
-
-    def test_zero_eta_is_identity(self):
-        model, y, z, p = make_instance(6, 9, 9)
-        u = np.random.default_rng(0).standard_normal(9)
-        assert np.array_equal(r_u_step(u, z, model, y, p, 0.0), u)
 
     def test_grad_u_finite_differences(self):
         model, y, z, p = make_instance(4, 5, 10, "full")
@@ -558,8 +552,8 @@ class TestNagd:
         # momentum ripples make strict per-step decrease instance-specific;
         # this instance exhibits it
         model, y, z, p = self.well_conditioned(49)
-        u, trace, _ = tikhonov_nagd(np.zeros(16), z, model, y, p,
-                                    NagdConfig(steps=40), want_trace=True)
+        u, trace = tikhonov_nagd(np.zeros(16), z, model, y, p,
+                                 NagdConfig(steps=40), want_trace=True)
         f = [u_objective(t, z, model, y, p) for t in trace]
         assert all(f[j + 1] <= f[j] + 1e-12 for j in range(2, len(f) - 1))
 
@@ -569,8 +563,8 @@ class TestNagd:
             model, y, z, p = self.well_conditioned(seed)
             u_star = _tikhonov_direct_with_factor(z, model, y, p)[0]
             f_star = u_objective(u_star, z, model, y, p)
-            _, trace, _ = tikhonov_nagd(np.zeros(16), z, model, y, p,
-                                        NagdConfig(steps=60), want_trace=True)
+            _, trace = tikhonov_nagd(np.zeros(16), z, model, y, p,
+                                     NagdConfig(steps=60), want_trace=True)
             f = [u_objective(t, z, model, y, p) for t in trace]
             gap0 = f[0] - f_star
             for j in range(1, len(f)):
@@ -581,6 +575,35 @@ class TestNagd:
         with pytest.raises(DivergenceError):
             tikhonov_nagd(np.zeros(16), z, model, y, p,
                           NagdConfig(steps=200, eta=50.0))
+
+    @pytest.mark.parametrize("steps", [1, 3, 9])
+    def test_divergence_error_at_few_steps(self, steps):
+        # a step count below the guard's run of 10 rising steps: every step
+        # rising above the start, the first a plain gradient step, is
+        # divergence too
+        model, y, z, p = self.well_conditioned(31)
+        with pytest.raises(DivergenceError, match=f"grew for {steps} "):
+            tikhonov_nagd(np.zeros(16), z, model, y, p,
+                          NagdConfig(steps=steps, eta=50.0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_operator_pass_per_iterate(self, monkeypatch, kind):
+        # each iterate's residual and P^{-1} u give both its u-objective and
+        # its gradient step
+        model, y, z, p = make_instance(6, 14, 60, kind)
+        calls = {"apply": 0, "adjoint": 0, "solve": 0}
+        for owner, name in ((model, "apply"), (model, "adjoint"), (p, "solve")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        steps = 9
+        u, trace = tikhonov_nagd(np.zeros(14), z, model, y, p,
+                                 NagdConfig(steps=steps, eta=0.01),
+                                 want_trace=True)
+        assert calls == {"apply": steps + 1, "adjoint": steps,
+                         "solve": steps + 1}
+        assert len(trace) == steps + 1 and trace[-1] is u
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
