@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as sla
+
+from .tikhonov import _backsolve, _factor
 
 __all__ = ["CovarianceParam"]
 
@@ -35,7 +36,8 @@ KINDS = tuple(_SHAPES)
 
 
 class CovarianceParam:
-    """A structured covariance P with cached solves.
+    """A structured covariance P with a cached dense matrix and Cholesky
+    factor.
 
     arrays maps each learnable array of the kind to its values under its
     checkpoint name; other entries are ignored, so a network's whole
@@ -145,8 +147,9 @@ class CovarianceParam:
         return None
 
     def _chofac(self):
-        if self._cho is None:
-            self._cho = sla.cho_factor(self.materialize(), lower=True)
+        if self._cho is None:  # a copy: _factor overwrites its argument
+            self._cho = _factor(np.array(self.materialize(), order="F"),
+                                name="covariance P")
         return self._cho
 
     # -- linear algebra surface ----------------------------------------------
@@ -163,7 +166,7 @@ class CovarianceParam:
         d = self.diag_values()
         if d is not None:
             return x / d
-        return sla.cho_solve(self._chofac(), x)
+        return _backsolve(self._chofac(), x, name="covariance P")
 
     def quad_inv(self, u):
         """u^T P^{-1} u."""
@@ -175,7 +178,7 @@ class CovarianceParam:
         if d is not None:
             g[np.diag_indices(self.n)] += 1.0 / d
         else:
-            g += sla.cho_solve(self._chofac(), np.eye(self.n))
+            g += self.solve(np.eye(self.n))
         return g
 
     # -- gradient ---------------------------------------------------------------

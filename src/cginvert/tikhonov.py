@@ -20,7 +20,8 @@ once at import: SciPy's cho_factor and cho_solve run the same two kernels on
 the same operands, so every output keeps its bits, but their batch and
 array-API dispatch add about 11 us to each call, as much as a 64 x 64 factor
 or solve itself takes (SciPy 1.17 on a 2-core Xeon: 29.5 us against 18.4
-us per factor, 17.0 us against 6.2 us per solve).
+us per factor, 17.0 us against 6.2 us per solve).  CovarianceParam factors
+and solves a tridiagonal or full P with the same two helpers.
 tikhonov_factored alone picks the exact route, and tikhonov_adjoint solves
 against its factor, live rows included, for the network backward.
 """
@@ -80,7 +81,7 @@ def grad_u(u, z, model, y, p):
     return z * model.adjoint(model.apply(z * u) - y) + p.solve(u)
 
 
-def _factor(s, psd_plus_identity=False):
+def _factor(s, psd_plus_identity=False, name="u-update system"):
     """Cholesky factor of the SPD matrix s, computed in place.
 
     s must be Fortran-ordered: LAPACK reads its lower triangle where it lies
@@ -89,25 +90,25 @@ def _factor(s, psd_plus_identity=False):
     Psi^T with W >= 0 the diagonal suffices: |s_ij| <= sqrt(s_ii s_jj), and
     a non-finite w_k reaches every s_ii with Psi[i, k] != 0.  A pivot that
     is not positive, such as one lost to rounding in a system of entries
-    near 1e308, raises LinAlgError naming the u-update.
+    near 1e308, raises LinAlgError.  Both messages begin with name.
     """
     if not np.isfinite(np.diagonal(s) if psd_plus_identity else s).all():
-        raise np.linalg.LinAlgError("u-update system has non-finite entries")
+        raise np.linalg.LinAlgError(f"{name} has non-finite entries")
     c, info = _dpotrf(s, lower=1, overwrite_a=1, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError("u-update system is not positive "
-                                    f"definite ({info}-th leading minor)")
+        raise np.linalg.LinAlgError(f"{name} is not positive definite "
+                                    f"({info}-th leading minor)")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c
 
 
-def _backsolve(c, b, live=slice(None)):
+def _backsolve(c, b, live=slice(None), name="u-update"):
     """Solve against a factor from _factor on the rows live of b, all by
     default; the solution is 0 on the other rows.  A non-finite entry of b,
-    on any row, raises LinAlgError."""
+    on any row, raises LinAlgError naming name's right-hand side."""
     if not np.isfinite(b).all():
-        raise np.linalg.LinAlgError("u-update right-hand side has non-finite entries")
+        raise np.linalg.LinAlgError(f"{name} right-hand side has non-finite entries")
     x = np.zeros(b.shape)
     if c.size:  # dpotrs rejects an empty system
         x[live], info = _dpotrs(c, b[live], lower=1)
@@ -203,11 +204,11 @@ def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
     and u^(0) = u^(-1) = u0.  One apply and one P-solve per iterate give
     both its u-objective and, with one adjoint, its gradient step, so
     `steps` steps make steps+1 applies and P-solves and `steps` adjoints.
-    Raises DivergenceError once the u-objective has risen for
-    min(10, steps) consecutive steps while above its starting value;
-    momentum ripples below the start level are benign, and the first step
-    is a plain gradient step, which does not rise for eta below 2/L.  With
-    want_trace, returns (u, [u^(0), ..., u^(steps)]).
+    Raises DivergenceError as soon as an iterate's u-objective is not
+    finite, and once it has risen for min(10, steps) consecutive steps while
+    above its starting value; momentum ripples below the start level are
+    benign, and the first step is a plain gradient step, which does not rise
+    for eta below 2/L.  With want_trace, returns (u, [u^(0), ..., u^(steps)]).
     """
     eta = cfg.eta
     if eta is None:
@@ -221,6 +222,9 @@ def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
         res = model.apply(z * u) - y
         pu = p.solve(u)
         f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # u_objective
+        if not np.isfinite(f):
+            raise DivergenceError(f"u-objective is not finite after {j} "
+                                  f"accelerated steps (eta={eta:g})")
         if j == 0:
             f_start = f_last = f
         grow = grow + 1 if (f > f_last and f > f_start) else 0

@@ -720,6 +720,54 @@ class TestTrainEval:
         assert err.startswith("numerical failure: solver breakdown")
 
 
+class TestDenseCovarianceBreakdown:
+    """A run that breaks down on a tridiagonal or full covariance ends as on
+    a diagonal one: exit 4 and one line naming P or the u-update."""
+
+    NAGD_DIVERGED = ("u-objective is not finite after 5 accelerated steps "
+                     "(eta=1e+30)")
+    CASES = {
+        # the diverged parameters overflow P's own factors
+        "train-lr": (["train", "--set", "train.lr=1e200",
+                      "--set", "train.epochs=5"],
+                     "solver breakdown at epoch 1: covariance P has "
+                     "non-finite entries"),
+        "train-nagd": (["train", "--set", "net.u_mode=nagd",
+                        "--set", "net.nagd_eta=1e30",
+                        "--set", "net.nagd_steps=20",
+                        "--set", "train.epochs=2"],
+                       "solver breakdown at epoch 0: " + NAGD_DIVERGED),
+        "solve-nagd": (["solve", "--set", "tikhonov.mode=nagd",
+                        "--set", "tikhonov.eta=1e30",
+                        "--set", "tikhonov.nagd_steps=20"], NAGD_DIVERGED),
+    }
+
+    def run_case(self, cfg_path, tmp_path, capsys, case, kind):
+        (command, *sets), expect = self.CASES[case]
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--out", str(ds))
+        key = "net.cov" if command == "train" else "solver.cov"
+        code, err = TestMalformedInput.one_line_error(
+            capsys, command, "--config", cfg_path, *sets,
+            "--set", f"{key}={kind}", "--dataset", str(ds),
+            "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert err == f"numerical failure: {expect}\n"
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "full"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_dense_covariance_exits_4(self, cfg_path, tmp_path, capsys, case,
+                                      kind):
+        self.run_case(cfg_path, tmp_path, capsys, case, kind)
+
+    @pytest.mark.parametrize("kind", ["scaled_identity", "diagonal"])
+    def test_solve_names_the_accelerated_u_update(self, cfg_path, tmp_path,
+                                                  capsys, kind):
+        # a non-finite u-objective once reached the z-step, which blamed
+        # its own backtracking
+        self.run_case(cfg_path, tmp_path, capsys, "solve-nagd", kind)
+
+
 def metric_rows(path):
     """The rows of a CSV as {column: value} dicts."""
     header, *lines = path.read_text().splitlines()

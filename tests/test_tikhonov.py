@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -6,8 +8,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from cginvert import gcgls, tikhonov
+from cginvert import covariance, gcgls, tikhonov
 from cginvert.covariance import KINDS, CovarianceParam
+from cginvert.data_metrics import gen_dataset
+from cginvert.drcgnet import (NetConfig, TrainConfig, backward, forward,
+                              init_params, train)
 from cginvert.errors import DivergenceError
 from cginvert.regularizer import ScaleRegularizer, cost
 from cginvert.sensing import SensingModel, build_radon
@@ -147,6 +152,49 @@ class TestCovariance:
         for kind in KINDS:
             with pytest.raises(ValueError, match="finite"):
                 CovarianceParam.init_default(kind, 4, value)
+
+    # the dense kinds factor and solve P with the u-update's dpotrf/dpotrs
+    # calls; SciPy's cho_factor and cho_solve, which run the same kernels,
+    # are the reference.  n = 1 makes materialize() Fortran-ordered too.
+    @pytest.mark.parametrize("kind", ["tridiagonal", "full"])
+    @pytest.mark.parametrize("n", [1, 7, 33])
+    def test_dense_factor_and_solves_equal_scipy(self, kind, n):
+        rng = np.random.default_rng(n)
+        p = random_cov(kind, n, rng)
+        dense = p.materialize().copy()
+        x, g = rng.standard_normal(n), rng.standard_normal((n, n))
+        cho = sla.cho_factor(dense, lower=True)
+        assert np.array_equal(p._chofac(), cho[0])
+        assert np.array_equal(p.solve(x), sla.cho_solve(cho, x))
+        assert p.quad_inv(x) == float(x @ sla.cho_solve(cho, x))
+        assert np.array_equal(p.add_inverse_to(g.copy()),
+                              g + sla.cho_solve(cho, np.eye(n)))
+        assert np.array_equal(p.materialize(), dense)  # not factored over
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["tridiagonal", "full"])
+    def test_dense_breakdown_names_p(self, kind):
+        # entries of 1e160 overflow L L^T
+        p = random_cov(kind, 5, np.random.default_rng(0))
+        p = CovarianceParam(kind, 5, {k: 1e160 * a for k, a in p.arrays.items()})
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            p.solve(np.ones(5))
+        assert str(info.value) == "covariance P has non-finite entries"
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            p.add_inverse_to(np.zeros((5, 5)))
+        assert str(info.value) == "covariance P has non-finite entries"
+        p = random_cov(kind, 5, np.random.default_rng(0))
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            p.solve(np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
+        assert str(info.value) == \
+            "covariance P right-hand side has non-finite entries"
+
+    def test_not_positive_definite_names_p(self):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            tikhonov._factor(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]),
+                             name="covariance P")
+        assert str(info.value) == \
+            "covariance P is not positive definite (2-th leading minor)"
 
 
 class TestExactSolve:
@@ -456,6 +504,56 @@ def dense_u_system(z, model, p):
     return az.T @ az + np.linalg.inv(p.materialize())
 
 
+class TestOneCholeskyPath:
+    """Every SPD factor and solve in the package, P's included, goes through
+    the u-update's dpotrf/dpotrs helpers: with SciPy's cho_factor and
+    cho_solve made to raise, the dense-P paths of the solver, the network
+    and training still run."""
+
+    @pytest.fixture(autouse=True)
+    def no_scipy_cholesky(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SciPy's cho_factor/cho_solve was called")
+        monkeypatch.setattr(sla, "cho_factor", refuse)
+        monkeypatch.setattr(sla, "cho_solve", refuse)
+
+    def test_covariance_imports_nothing_from_scipy(self):
+        tree = ast.parse(inspect.getsource(covariance))
+        modules = [a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        assert modules and not [m for m in modules if m.startswith("scipy")]
+
+    def test_full_covariance_solve(self):
+        # m > n: the direct route adds P^{-1} into its system
+        model, y, z, p = make_instance(20, 12, 3, "full")
+        rep = gcgls.solve(model, y, p, ScaleRegularizer.log_squared(0.05),
+                          gcgls.SolverConfig(K=3, J=2, zstep_method="ista"))
+        assert np.isfinite(rep.c_star).all()
+
+    def net_setup(self, cov_kind):
+        model = build_radon(8, 6)
+        cfg = NetConfig(K=1, J=1, depth=2, kernel=3, channels=(4, 1),
+                        cov_kind=cov_kind)
+        ds = gen_dataset("synthetic", model, 60.0, 2, seed=1)
+        return model, cfg, ds.pairs
+
+    def test_tridiagonal_covariance_network(self):
+        model, cfg, pairs = self.net_setup("tridiagonal")
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        out, tape = forward(pairs[0][0], model, params)
+        grads = backward(tape, np.ones_like(out), params)
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_full_covariance_training_epoch(self):
+        model, cfg, pairs = self.net_setup("full")
+        params, history = train(pairs, model, cfg,
+                                TrainConfig(lr=1e-3, epochs=1, seed=0))
+        assert len(history["train_mae"]) == 1
+        assert np.isfinite(params.values["cov.L"]).all()
+
+
 class TestAdjoint:
     # dense Woodbury (m < n), direct (m > n) and sparse Radon Woodbury
     # (m=27 < n=36; the diagonal kinds take the sparse formation)
@@ -585,6 +683,19 @@ class TestNagd:
         with pytest.raises(DivergenceError, match=f"grew for {steps} "):
             tikhonov_nagd(np.zeros(16), z, model, y, p,
                           NagdConfig(steps=steps, eta=50.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("steps", [20, 100])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_divergence_error_on_non_finite_objective(self, kind, steps):
+        # eta = 1e30 overflows the objective within a few steps; a NaN never
+        # compares as rising, so the rise guard alone let it through
+        model, y, z, p = make_instance(6, 14, 61, kind)
+        with pytest.raises(DivergenceError) as info:
+            tikhonov_nagd(np.zeros(14), z, model, y, p,
+                          NagdConfig(steps=steps, eta=1e30))
+        assert str(info.value) == ("u-objective is not finite after 5 "
+                                   "accelerated steps (eta=1e+30)")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_operator_pass_per_iterate(self, monkeypatch, kind):
