@@ -5,20 +5,21 @@ its one term per array straight into the one batch dict in fixed sample
 order; no shuffling, so a fixed seed reproduces the loss history bit for
 bit.
 
-Where the process may fork and use two CPUs and one sample's work (conv
-and Cholesky multiply-adds) clears _FORK_MACS (_forks), a batch runs its
-samples in pairs on two processes.  At the first batch of two or more
+Where the process may fork and use two CPUs and the whole call's work
+(epochs x samples x one sample's conv and Cholesky multiply-adds, floored
+for a small net's per-call overhead) clears _FORK_MACS (_forks), a batch
+runs in halves on two processes.  At the first batch of two or more
 samples, train forks one worker process (_Worker); from then on the main
-process computes the first sample of each pair as before while the worker
-computes the second, and a lone last sample runs on the main process
-alone.  Pairs, rather than halves of the batch, keep the worker to one
-gradient slot whatever the batch size.
-The worker reads the parameters from a shared mirror that the main process
-refills before each batch, and writes its sample's gradient, started from
-zeros, to a shared slot; the main process then adds the slot into the batch
-gradient.  A sample's backward adds one term to each array, the covariance's
-block terms summed first, so adding the slot gives the serial sum's bits:
-loss histories, gradients and checkpoints are the same as on one CPU.  The
+process sends the worker the indices of the batch's last floor(B/2)
+samples in one message, computes the first ceil(B/2) itself as before, and
+reads the worker's loss terms back in one reply: one pipe round trip per
+batch.  The worker reads the parameters from a shared mirror that the main
+process refills before each batch, and writes each of its samples'
+gradients, started from zeros, to a shared slot of its own; the main
+process then adds the slots into the batch gradient in sample order.  A
+sample's backward adds one term to each array, the covariance's block
+terms summed first, so adding the slots gives the serial sum's bits: loss
+histories, gradients and checkpoints are the same as on one CPU.  The
 worker is stopped and joined when train returns or raises, so no child
 outlives the call.
 """
@@ -39,16 +40,18 @@ from .params import NetParams, init_params
 
 __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 
-# A batch forks a worker from this many multiply-adds per sample forward
-# (_sample_macs) on.  The fork, the worker's first page faults and the join
-# cost 10-15 ms per train call.  One-epoch calls on 4 samples in batches of
-# 2 (one BLAS thread, 8x8 and 16x16 images) lost or broke even with the
-# worker up to 16M conv multiply-adds and took 0.75-0.95x the serial time
-# from 19M to 63M; the paper configuration does 1.18G (744M of it conv),
-# the README run.cfg 0.31M.  At Radon 32x32/15 the factors alone clear the
-# floor: the README net there does 0.74M conv and 329M in all, and its
-# one-epoch calls took 0.090 s with the worker against 0.144 s serial
-# (medians of 12).
+# A train call forks a worker from this much work on: epochs x samples x one
+# sample's forward multiply-adds (_sample_macs), a sample counting at least
+# 1M.  The fork, the worker's first page faults and the join cost 10-15 ms
+# per call.  Whole calls on two CPUs with one BLAS thread took, against the
+# serial time: one epoch of 4 samples in batches of 2 of 8x8 nets of 3-12M
+# per sample, 1.01x at 13.4M in all, 1.39x at 17.7M and 0.97x at 48.4M; the
+# same nets on 20 samples in one batch, 0.69-0.79x; and 20 samples of the
+# README run.cfg net (0.31M, counted 1M) in one batch, 0.98x for one epoch,
+# 0.82x for two and 0.73-0.83x for 3 to 10.  The paper configuration does
+# 1.18G per sample (744M of it conv); the README net on Radon 32x32/15,
+# 329M, and its one-epoch calls on 4 samples in batches of 2 took 0.090 s
+# with the worker against 0.144 s serial (medians of 12).
 _FORK_MACS = 30_000_000
 # CPUs this process may run on (sched_getaffinity is Linux-only)
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -124,12 +127,14 @@ def _sample_macs(cfg, m, n):
     return convs + factors * min(m, n) ** 3 // 3
 
 
-def _forks(cfg, m, n):
-    """Whether a batch of two or more samples pays for a worker process: the
-    process may fork and use two CPUs, and a sample's work clears the
-    floor."""
-    return (hasattr(os, "fork") and _CPUS > 1
-            and _sample_macs(cfg, m, n) >= _FORK_MACS)
+def _forks(cfg, m, n, epochs, samples):
+    """Whether a call of `epochs` epochs over `samples` samples pays for a
+    worker process: the process may fork and use two CPUs, and the call's
+    work clears the floor.  A sample counts as at least 1M multiply-adds:
+    a small net's time goes to NumPy's per-call overhead, which its
+    multiply-adds leave out."""
+    work = epochs * samples * max(_sample_macs(cfg, m, n), 1_000_000)
+    return hasattr(os, "fork") and _CPUS > 1 and work >= _FORK_MACS
 
 
 def _views(flat, like):
@@ -141,47 +146,53 @@ def _views(flat, like):
         start += val.size
 
 
-def _serve(conn, parent_end, pairs, model, params, shared):
-    """The worker's loop: compute each sample the pipe names until it
-    closes.  The parent stops the worker; ^C is the parent's to handle."""
+def _serve(conn, parent_end, pairs, model, params, shared, n_slots):
+    """The worker's loop: compute the samples each message names, each
+    into its own slot, until the pipe closes.  The parent stops the worker;
+    ^C is the parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
-    mirror, flat_slot = np.split(shared, 2)
+    mirror, *flat_slots = np.split(shared, n_slots + 1)
     params = NetParams(params.cfg, params.n, dict(_views(mirror, params.values)))
-    slot = dict(_views(flat_slot, params.values))
+    grads = [dict(_views(flat, params.values)) for flat in flat_slots]
     while True:
         try:
-            idx, inv = conn.recv()
+            todo, inv = conn.recv()
         except EOFError:
             return
-        flat_slot.fill(0.0)
+        reply = []
         try:
-            reply = _sample(pairs[idx], model, params, inv, slot)
+            for idx, flat, slot in zip(todo, flat_slots, grads):
+                flat.fill(0.0)
+                reply.append(_sample(pairs[idx], model, params, inv, slot))
         except Exception as exc:  # the parent raises it, as one process would
             reply = exc
         conn.send(reply)
 
 
 class _Worker:
-    """A forked process that computes one sample at a time for train.
+    """A forked process that computes part of each batch for train.
 
     Shared memory holds a mirror of the parameters, which refresh() fills,
-    and the slot the worker writes a sample's gradient to; the pipe carries
-    the sample's index and scale there, and back its loss term or the
-    exception the sample raised.  It is forked, not spawned, so it inherits
-    the samples and the operator unpickled.
+    and n_slots gradient slots, one per sample of the largest part sent; the
+    pipe carries the samples' indices and scale there, and back their loss
+    terms or the exception the first failing sample raised.  It is forked,
+    not spawned, so it inherits the samples and the operator unpickled.
     """
 
-    def __init__(self, pairs, model, params):
+    def __init__(self, pairs, model, params, n_slots):
         size = sum(v.size for v in params.values.values())
-        shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
-        # the parent keeps the two flat halves, not 2 x len(values) views:
-        # per-array views would raise its peak heap by about 30 kB
-        self.mirror, self.slot = np.split(shared, 2)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * size * (n_slots + 1)),
+                               dtype=np.float64)
+        # the parent keeps the flat mirror and slots, not per-array views:
+        # those of the mirror and one slot alone raised its peak heap by
+        # about 30 kB
+        self.mirror, *self.slots = np.split(shared, n_slots + 1)
         self.conn, child_end = multiprocessing.Pipe()
         self.proc = multiprocessing.get_context("fork").Process(
             target=_serve, name="cginvert-train", daemon=True,
-            args=(child_end, self.conn, pairs, model, params, shared))
+            args=(child_end, self.conn, pairs, model, params, shared,
+                  n_slots))
         try:
             self.proc.start()
         except OSError as exc:
@@ -199,24 +210,25 @@ class _Worker:
         np.concatenate([v.ravel() for v in params.values.values()],
                        out=self.mirror)
 
-    def submit(self, idx, inv):
+    def submit(self, todo, inv):
         try:
-            self.conn.send((idx, inv))
+            self.conn.send((todo, inv))
         except OSError:  # the worker has exited and closed its end
             raise self._died() from None
 
-    def add_result(self, grads):
-        """Wait for the submitted sample; add its gradient into grads and
-        return its loss term."""
+    def add_results(self, grads):
+        """Wait for the submitted samples; add their gradients into grads in
+        sample order and return their loss terms."""
         try:
-            loss = self.conn.recv()
+            losses = self.conn.recv()
         except EOFError:
             raise self._died() from None
-        if isinstance(loss, Exception):
-            raise loss
-        for key, g in _views(self.slot, grads):
-            grads[key] += g
-        return loss
+        if isinstance(losses, Exception):
+            raise losses
+        for slot in self.slots[:len(losses)]:
+            for key, g in _views(slot, grads):
+                grads[key] += g
+        return losses
 
     def close(self):
         """Stop the worker, whatever it is doing, and join it."""
@@ -242,7 +254,7 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     history = {"train_mae": [], "val_mae": []}
     best = (np.inf, None)
     since_best = 0
-    forks = _forks(cfg_net, model.m, n)
+    forks = _forks(cfg_net, model.m, n, cfg_train.epochs, len(pairs))
     worker = None
 
     with contextlib.ExitStack() as stack:
@@ -252,23 +264,20 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                 grads = params.zero_grads()
                 loss = 0.0
                 inv = 1.0 / (len(batch) * n)
+                # the first batch is the largest: its half sizes the slots
                 if worker is None and forks and len(batch) > 1:
-                    worker = _Worker(pairs, model, params)
+                    worker = _Worker(pairs, model, params, len(batch) // 2)
                     stack.callback(worker.close)
-                if worker is not None:
-                    worker.refresh(params)
-                todo = list(batch)
+                half = len(batch) // 2 if worker is not None else 0
                 try:
-                    while todo:
-                        if worker is not None and len(todo) > 1:
-                            worker.submit(todo[1], inv)
-                            loss += _sample(pairs[todo[0]], model, params, inv,
-                                            grads)
-                            loss += worker.add_result(grads)
-                            del todo[:2]
-                        else:
-                            loss += _sample(pairs[todo.pop(0)], model, params,
-                                            inv, grads)
+                    if half:
+                        worker.refresh(params)
+                        worker.submit(list(batch[-half:]), inv)
+                    for idx in batch[:len(batch) - half]:
+                        loss += _sample(pairs[idx], model, params, inv, grads)
+                    if half:
+                        for term in worker.add_results(grads):
+                            loss += term
                 except (np.linalg.LinAlgError, DivergenceError) as exc:
                     # diverged parameters break the inner factorization, or
                     # an accelerated u-update, before the loss itself turns

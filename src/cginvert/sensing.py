@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct as _dct
 
 from .errors import DataError, NumericalError
 
@@ -73,6 +72,7 @@ class SensingModel:
         self.side = side
         self.meta = dict(meta or {})
         self._dense_a = None
+        self._dense_ata = None
         self._gram_map = None
         self.a_norm = spectral_norm(self.apply, self.adjoint, n)
 
@@ -103,6 +103,14 @@ class SensingModel:
             psi = self.psi.toarray() if sp.issparse(self.psi) else np.asarray(self.psi)
             self._dense_a = psi @ self.phi if self.phi is not None else psi.copy()
         return self._dense_a
+
+    def dense_ata(self):
+        """Materialized dense A^T A (cached): the one O(m n^2) product the
+        direct u-update needs, formed once per operator."""
+        if self._dense_ata is None:
+            a = self.dense_a()
+            self._dense_ata = a.T @ a
+        return self._dense_ata
 
     def gram_map(self):
         """Map from pixel weights w to the lower triangle of Psi Diag(w) Psi^T
@@ -261,7 +269,11 @@ def build_dct(n):
     side = int(round(math.sqrt(n)))
     if side * side != n:
         raise ValueError(f"n={n} is not a perfect square image size")
-    d1 = _dct(np.eye(side), axis=0, norm="ortho")  # analysis: c = d1 @ s
+    # imported here, its only use: loading scipy.fft adds about 65 ms to
+    # every command that imports the package
+    from scipy.fft import dct
+
+    d1 = dct(np.eye(side), axis=0, norm="ortho")  # analysis: c = d1 @ s
     return np.kron(d1.T, d1.T)
 
 

@@ -1,8 +1,9 @@
 """Minimizing the joint cost over the Gaussian factor u for fixed scales z.
 
-Three routes: the direct n x n symmetric solve, the Woodbury rewrite that
-solves an m x m system instead, and a Nesterov-accelerated gradient descent
-approximation for problems where a factorization is unwanted.  With a sparse
+Three routes: the direct n x n symmetric solve (its system formed in O(n^2)
+from the operator's cached A^T A), the Woodbury rewrite that solves an m x m
+system instead, and a Nesterov-accelerated gradient descent approximation
+for problems where a factorization is unwanted.  With a sparse
 Psi, no dictionary and a diagonal P, the Woodbury system
 Psi Diag(z^2 d) Psi^T + I is formed on Psi's live rows only, those with a
 stored entry: an empty row contributes an identity row and column whose
@@ -67,10 +68,6 @@ class NagdConfig:
             raise ValueError(f"NagdConfig.eta must be finite and > 0, got {self.eta!r}")
 
 
-def _a_z(z, model):
-    return model.dense_a() * z[None, :]
-
-
 def u_objective(u, z, model, y, p):
     """0.5*||A_z u - y||^2 + 0.5*u^T P^{-1} u (the u-dependent part of F)."""
     return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u)
@@ -119,13 +116,13 @@ def _backsolve(c, b, live=slice(None), name="u-update"):
 
 def _tikhonov_direct_with_factor(z, model, y, p):
     """Direct n x n solve of (A_z^T A_z + P^{-1}) u = A_z^T y; returns
-    (u, Cholesky factor)."""
-    az = _a_z(z, model)
-    g = az.T @ az
+    (u, Cholesky factor).  A_z^T A_z = Diag(z) A^T A Diag(z) is formed from
+    the operator's cached A^T A in O(n^2); the system is symmetric, so its
+    .T view is the Fortran array LAPACK factors in place."""
+    g = z[:, None] * model.dense_ata() * z
     p.add_inverse_to(g)
-    rhs = az.T @ y
-    cho = _factor(np.asfortranarray(g))
-    return _backsolve(cho, rhs), cho
+    cho = _factor(g.T)
+    return _backsolve(cho, z * (model.dense_a().T @ y)), cho
 
 
 def _tikhonov_woodbury_with_factor(z, model, y, p):
@@ -148,7 +145,7 @@ def _tikhonov_woodbury_with_factor(z, model, y, p):
         s = s.reshape(r, r).T
     else:
         live = slice(None)
-        az = _a_z(z, model)
+        az = model.dense_a() * z[None, :]
         azp = az * d[None, :] if d is not None else az @ p.materialize()
         s = np.asfortranarray(azp @ az.T)
     s[np.diag_indices(s.shape[0])] += 1.0
@@ -204,7 +201,7 @@ def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
     and u^(0) = u^(-1) = u0.  One apply and one P-solve per iterate give
     both its u-objective and, with one adjoint, its gradient step, so
     `steps` steps make steps+1 applies and P-solves and `steps` adjoints.
-    Raises DivergenceError as soon as an iterate's u-objective is not
+    Raises DivergenceError as soon as an iterate or its u-objective is not
     finite, and once it has risen for min(10, steps) consecutive steps while
     above its starting value; momentum ripples below the start level are
     benign, and the first step is a plain gradient step, which does not rise
@@ -220,8 +217,10 @@ def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
     grow = 0
     for j in range(cfg.steps + 1):
         res = model.apply(z * u) - y
-        pu = p.solve(u)
-        f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # u_objective
+        f = np.inf
+        if np.isfinite(u).all():  # a dense P's solve rejects u otherwise
+            pu = p.solve(u)
+            f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # u_objective
         if not np.isfinite(f):
             raise DivergenceError(f"u-objective is not finite after {j} "
                                   f"accelerated steps (eta={eta:g})")

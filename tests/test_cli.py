@@ -740,6 +740,12 @@ class TestDenseCovarianceBreakdown:
         "solve-nagd": (["solve", "--set", "tikhonov.mode=nagd",
                         "--set", "tikhonov.eta=1e30",
                         "--set", "tikhonov.nagd_steps=20"], NAGD_DIVERGED),
+        # the first step overflows u itself, before P's solve reads it
+        "solve-nagd-overflow": (["solve", "--set", "tikhonov.mode=nagd",
+                                 "--set", "tikhonov.eta=1e308",
+                                 "--set", "tikhonov.nagd_steps=20"],
+                                "u-objective is not finite after 1 "
+                                "accelerated steps (eta=1e+308)"),
     }
 
     def run_case(self, cfg_path, tmp_path, capsys, case, kind):

@@ -1,5 +1,6 @@
 import importlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import weakref
@@ -139,7 +140,7 @@ class TestTrain:
 
 class RecordingWorker(train_module._Worker):
     """Stands in for the training worker: records each one started and the
-    samples submitted to it."""
+    list of samples of each message submitted to it."""
 
     started = []
 
@@ -148,9 +149,9 @@ class RecordingWorker(train_module._Worker):
         self.started.append(self)
         super().__init__(*args)
 
-    def submit(self, idx, inv):
-        self.submitted.append(idx)
-        super().submit(idx, inv)
+    def submit(self, todo, inv):
+        self.submitted.append(todo)
+        super().submit(todo, inv)
 
 
 @pytest.fixture
@@ -231,8 +232,8 @@ class TestWorkerProcess:
             serial = recorded_run(monkeypatch, tmp_path, "serial", *args)
         assert forked == []
         split = recorded_run(monkeypatch, tmp_path, "split", *args)
-        # batches of 2, 3 and 5 samples send the second of each pair
-        expect = {1: [], 2: [1, 3], 3: [1, 4], 0: [1, 3]}[batch]
+        # batches of 2, 3 and 5 samples send their last floor(B/2)
+        expect = {1: [], 2: [[1], [3]], 3: [[2], [4]], 0: [[3, 4]]}[batch]
         assert [w.submitted for w in forked] == \
             ([expect * tcfg.epochs] if expect else [])
         assert split[0] == serial[0]
@@ -261,7 +262,7 @@ class TestWorkerProcess:
                     errors.append(str(info.value))
                     assert multiprocessing.active_children() == []
             assert errors[0] == errors[1]
-        assert [w.submitted for w in forked] == [[1], [1]]
+        assert [w.submitted for w in forked] == [[[1]], [[1]]]
 
     def test_dead_worker_is_a_one_line_error(self, forked, monkeypatch):
         model, ds, cfg = toy_setup()
@@ -317,13 +318,37 @@ class TestWorkerProcess:
         assert len(forked) == 1
         assert threading.active_count() == before
 
-    def test_small_net_never_forks(self, workers, monkeypatch):
-        # a train-toy epoch takes about 20 ms; a fork costs about 10
+    def test_small_net_forks_over_many_epochs(self, workers, monkeypatch):
+        # 20 README-net samples, full batch: a one-epoch call broke even
+        # with the worker (the fork costs about a toy epoch's time), two
+        # epochs took 0.82x the serial time
         monkeypatch.setattr(train_module, "_CPUS", 2)
+        model, ds, cfg = toy_setup(n_samples=20)
+        for epochs in (1, 2):
+            train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=epochs),
+                  cov_init=0.1)
+        assert [w.submitted for w in workers] == [[list(range(10, 20))] * 2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_round_trip_per_batch(self, forked, monkeypatch):
+        # the worker takes each batch's last half in one message, not one
+        # message per pair of samples
+        calls = []
+        for name in ("send", "recv"):
+            real = getattr(multiprocessing.connection.Connection, name)
+
+            def counted(conn, *args, name=name, real=real):
+                calls.append(name)
+                return real(conn, *args)
+
+            monkeypatch.setattr(multiprocessing.connection.Connection, name,
+                                counted)
         model, ds, cfg = toy_setup(n_samples=6)
-        train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=2, batch=2),
+        train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=2, batch=0),
               cov_init=0.1)
-        assert workers == []
+        # the counts of this process only: the worker's are its own
+        assert calls == ["send", "recv"] * 2
+        assert multiprocessing.active_children() == []
 
     def test_u_update_work_counts_toward_the_floor(self, workers,
                                                    monkeypatch):
@@ -335,7 +360,7 @@ class TestWorkerProcess:
         _, _, cfg = toy_setup()
         train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1, batch=2),
               cov_init=0.1)
-        assert [w.submitted for w in workers] == [[1]]
+        assert [w.submitted for w in workers] == [[[1]]]
         assert multiprocessing.active_children() == []
 
     def test_gate(self, monkeypatch):
@@ -344,29 +369,37 @@ class TestWorkerProcess:
         monkeypatch.setattr(train_module, "_CPUS", 2)
         paper = NetConfig()
         _, _, toy = toy_setup()
-        assert train_module._forks(paper, *big)
-        assert not train_module._forks(toy, *small)
+        # the paper net forks at one epoch, as it does in the benchmark
+        assert train_module._forks(paper, *big, 1, 2)
+        # 20 README-net samples count 1M multiply-adds each, the floor: a
+        # one-epoch call stays serial, longer ones fork
+        assert not train_module._forks(toy, *small, 1, 20)
+        assert train_module._forks(toy, *small, 2, 20)
         # at 32x32/15 the u-update's factors carry the README net over
-        assert train_module._forks(toy, *big)
+        assert train_module._forks(toy, *big, 1, 2)
         # a dense covariance at 100 nagd steps forks like any other net
         dense = NetConfig(cov_kind="full", u_mode="nagd", nagd_eta=0.1)
-        assert train_module._forks(dense, *big)
+        assert train_module._forks(dense, *big, 1, 2)
         monkeypatch.setattr(train_module, "_CPUS", 1)
-        assert not train_module._forks(paper, *big)
+        assert not train_module._forks(paper, *big, 1, 2)
         monkeypatch.setattr(train_module, "_CPUS", 2)
         monkeypatch.delattr(os, "fork")
-        assert not train_module._forks(paper, *big)
+        assert not train_module._forks(paper, *big, 1, 2)
 
-    @pytest.mark.parametrize("channels", [(8,) * 7 + (1,), (16,) * 7 + (1,),
-                                          (16, 16, 16, 1)])
-    def test_small_image_nets_stay_serial(self, monkeypatch, channels):
-        # 8x8 nets of 2-16M conv multiply-adds lost with the worker; their
-        # factors add 0.35M at most
+    @pytest.mark.parametrize("channels,forks", [
+        ((8,) * 7 + (1,), False), ((16,) * 7 + (1,), True),
+        ((16, 16, 16, 1), False)])
+    def test_small_image_nets_fork_by_call_work(self, monkeypatch, channels,
+                                                forks):
+        # one-epoch calls on 4 samples in batches of 2 of 8x8 nets of 3-12M
+        # multiply-adds per sample: 13.4M and 17.7M in all took 1.01x and
+        # 1.39x the serial time with the worker, 48.4M took 0.97x; on 20
+        # samples all three took 0.69-0.79x
         monkeypatch.setattr(train_module, "_CPUS", 2)
         cfg = NetConfig(depth=len(channels), channels=channels)
-        macs = train_module._sample_macs(cfg, 72, 64)
-        assert 2e6 < macs < 16e6
-        assert not train_module._forks(cfg, 72, 64)
+        assert 3e6 < train_module._sample_macs(cfg, 72, 64) < 13e6
+        assert train_module._forks(cfg, 72, 64, 1, 4) is forks
+        assert train_module._forks(cfg, 72, 64, 1, 20)
 
     def test_sample_macs(self):
         _, _, toy = toy_setup()

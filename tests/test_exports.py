@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import cginvert
 
@@ -24,3 +27,14 @@ def test_u_update_exports_only_the_routed_solve():
     assert {"tikhonov_solve", "tikhonov_factored",
             "tikhonov_adjoint"} <= set(tikhonov.__all__)
     assert not {"tikhonov_exact", "tikhonov_woodbury"} & set(dir(tikhonov))
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # only build_dct uses scipy.fft, and loading it costs every command
+    # about 65 ms; a fresh interpreter, as this one may have loaded it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(cginvert.__path__[0]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cginvert.cli; "
+         "print('scipy.fft' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
