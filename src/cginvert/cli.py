@@ -28,8 +28,6 @@ from .imageio import write_pgm
 
 def _fmt(x):
     if isinstance(x, float):
-        if np.isinf(x):
-            return "inf"
         return repr(float(x))
     return str(x)
 

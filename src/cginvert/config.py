@@ -75,35 +75,29 @@ _REGISTRY = {
     "solver.cov": (str, "scaled_identity"),
     "solver.cov_value": (float, 1.0),
     "solver.eps": (float, DEFAULT_EPS),
-    "net.K": (int, NetConfig.K),
-    "net.J": (int, NetConfig.J),
-    "net.depth": (int, NetConfig.depth),
-    "net.kernel": (int, NetConfig.kernel),
-    "net.channels": (_int_list, NetConfig.channels),
-    "net.variant": (str, NetConfig.variant),
-    "net.cov": (str, NetConfig.cov_kind),
-    "net.gamma_max": (float, NetConfig.gamma_max),
-    "net.b": (float, NetConfig.b),
-    "net.u_mode": (str, NetConfig.u_mode),
-    "net.nagd_steps": (int, NetConfig.nagd_steps),
-    "net.nagd_eta": (_float_or_auto, NetConfig.nagd_eta),
-    "net.refine": (_bool, NetConfig.refine),
-    "net.eps": (float, NetConfig.eps),
     "net.cov_init": (_float_or_auto, None),
-    "train.lr": (float, TrainConfig.lr),
-    "train.epochs": (int, TrainConfig.epochs),
-    "train.batch": (int, TrainConfig.batch),
-    "train.beta1": (float, TrainConfig.beta1),
-    "train.beta2": (float, TrainConfig.beta2),
-    "train.eps_adam": (float, TrainConfig.eps_adam),
-    "train.seed": (int, TrainConfig.seed),
-    "train.patience": (_int_or_none, TrainConfig.patience),
     "train.val_fraction": (float, 0.0),
     "data.source": (str, "synthetic"),
     "data.samples": (int, 10),
     "data.snr_db": (float, 60.0),
     "data.seed": (int, 0),
 }
+
+
+def _field_key(section, name):
+    """Registry key of a NetConfig (section "net") or TrainConfig ("train")
+    field: <section>.<name>, except net.cov for cov_kind."""
+    return f"{section}.{'cov' if name == 'cov_kind' else name}"
+
+
+# Parser of each field annotation (params.py postpones annotations, so they
+# are strings); a field with any other annotation fails here at import.
+_FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+                  "tuple": _int_list, "float | None": _float_or_auto,
+                  "int | None": _int_or_none}
+_REGISTRY.update({_field_key(section, f.name): (_FIELD_PARSERS[f.type], f.default)
+                  for cls, section in ((NetConfig, "net"), (TrainConfig, "train"))
+                  for f in fields(cls)})
 
 
 class RunConfig:
@@ -182,10 +176,8 @@ def build_model(cfg):
         if kind == "radon":
             base = build_radon(side, cfg.get("sensing.angles"))
         elif kind == "gaussian":
-            m = cfg.get("sensing.m")
-            if m is None:
-                raise ConfigError("missing required configuration key: sensing.m")
-            base = build_gaussian(m, n, cfg.get("sensing.seed"))
+            base = build_gaussian(cfg.require("sensing.m"), n,
+                                  cfg.get("sensing.seed"))
         else:
             raise ConfigError(f"unknown sensing.kind: {kind}")
     psi = base.psi
@@ -237,12 +229,6 @@ def build_solver(cfg, n):
             stop_tol=cfg.get("solver.stop_tol"),
         )
     return p, r, scfg
-
-
-def _field_key(section, name):
-    """Registry key of a NetConfig (section "net") or TrainConfig ("train")
-    field: <section>.<name>, except net.cov for cov_kind."""
-    return f"{section}.{'cov' if name == 'cov_kind' else name}"
 
 
 def _from_fields(cls, section, cfg):

@@ -294,7 +294,11 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
 
             history["train_mae"].append(epoch_loss / len(pairs))
             if val_pairs is not None:
-                vm = evaluate_mae(val_pairs, model, params)
+                try:
+                    vm = evaluate_mae(val_pairs, model, params)
+                except (np.linalg.LinAlgError, DivergenceError) as exc:
+                    raise NanLossError(f"solver breakdown in validation after "
+                                       f"epoch {epoch}: {exc}")
                 history["val_mae"].append(vm)
                 if cfg_train.patience is not None:
                     if vm < best[0]:

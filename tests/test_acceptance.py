@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from cginvert.cli import main
 from cginvert.covariance import KINDS, CovarianceParam
 from cginvert.data_metrics import gen_dataset, psnr
 from cginvert.drcgnet import (
@@ -290,3 +291,55 @@ def test_c10_map_correspondence():
     report("C10 MAP correspondence", agreements == len(settings)
            and elapsed < 30.0,
            f"{agreements}/{len(settings)} settings agree, {elapsed:.1f} s")
+
+
+# the README run.cfg with 3 angles: m = 36 < n = 64, the paper's regime
+C11_CFG = """
+sensing.kind = radon
+sensing.side = 8
+sensing.angles = 3
+data.source = synthetic
+data.samples = 20
+data.snr_db = 60
+reg.kind = logsq
+reg.mu = 0.05
+solver.K = 50
+solver.J = 3
+zstep.method = ista
+net.K = 2
+net.J = 2
+net.depth = 2
+net.channels = 8,1
+train.lr = 0.002
+train.epochs = 100
+"""
+
+
+def test_c11_trained_network_beats_the_solver(tmp_path, capsys):
+    t0 = time.monotonic()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(C11_CFG)
+
+    def cli(command, *args):
+        assert main([command, "--config", str(cfg), *args]) == 0, command
+
+    def mean_psnr(out):
+        lines = (tmp_path / out / "metrics.csv").read_text().splitlines()
+        col = lines[0].split(",").index("psnr")
+        return float(np.mean([float(line.split(",")[col]) for line in lines[1:]]))
+
+    cli("gen-data", "--seed", "1", "--out", str(tmp_path / "train_ds"))
+    cli("gen-data", "--seed", "2", "--out", str(tmp_path / "test_ds"))
+    # no --seed: train.seed keeps its default 0
+    cli("train", "--dataset", str(tmp_path / "train_ds"),
+        "--out", str(tmp_path / "ckpt"))
+    cli("eval", "--dataset", str(tmp_path / "test_ds"),
+        "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "net"))
+    cli("solve", "--dataset", str(tmp_path / "test_ds"),
+        "--out", str(tmp_path / "gcgls"), "--repro")
+    capsys.readouterr()
+    net, solver = mean_psnr("net"), mean_psnr("gcgls")
+    elapsed = time.monotonic() - t0
+    report("C11 trained network beats G-CG-LS", net > solver,
+           f"held-out PSNR {net:.2f} dB against {solver:.2f} dB on Radon "
+           f"8x8/3, {elapsed:.1f} s")

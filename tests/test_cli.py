@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cginvert.cli import main
+from cginvert.cli import _fmt, main
 from cginvert.data_metrics import load_dataset
 from cginvert.drcgnet import evaluate_mae, load_checkpoint
 from cginvert.sensing import build_radon
@@ -128,6 +128,13 @@ class TestSolve:
                    "--dataset", str(ds), "--out", str(tmp_path / "o"))
         assert code == 3
         assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x,text", [
+    (float("-inf"), "-inf"), (float("inf"), "inf"), (float("nan"), "nan"),
+    (np.float64(0.1), "0.1"), (3, "3")])
+def test_csv_cell_is_the_value_repr(x, text):
+    assert _fmt(x) == text
 
 
 class TestMalformedInput:
@@ -697,6 +704,26 @@ class TestTrainEval:
         assert err == ("numerical failure: solver breakdown at epoch 0: "
                        "u-objective grew for 3 consecutive accelerated steps "
                        "(eta=0.05)\n")
+
+    def test_breakdown_in_validation_exits_4_naming_the_epoch(
+            self, cfg_path, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--set", "data.samples=5",
+            "--out", str(ds))
+        capsys.readouterr()
+        # the one update diverges the README-sized net's parameters without
+        # breaking its training batch; the validation forward then loses a
+        # Cholesky pivot
+        code = run("train", "--config", cfg_path, "--set", "net.K=2",
+                   "--set", "net.J=2", "--set", "net.channels=8,1",
+                   "--set", "train.lr=1e3", "--set", "train.epochs=1",
+                   "--set", "train.val_fraction=0.2", "--dataset", str(ds),
+                   "--out", str(tmp_path / "ck"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: solver breakdown in "
+                              "validation after epoch 0: ")
 
     def test_nan_training_on_woodbury_route_exits_4(self, cfg_path, tmp_path,
                                                     capsys):

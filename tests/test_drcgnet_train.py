@@ -79,6 +79,32 @@ class TestTrain:
                            "an update at epoch 0"), np.errstate(over="ignore"):
             train(pairs, model, cfg, tcfg, cov_init=0.1)
 
+    def test_non_finite_loss_aborts(self):
+        # the accelerated u-update's reverse has no finite checks, so a
+        # refinement blown up to 1e200 reaches the loss itself; lr=0 keeps
+        # the update from raising first
+        model, ds, _ = toy_setup()
+        cfg = NetConfig(K=1, J=1, depth=2, kernel=3, channels=(4, 1),
+                        u_mode="nagd", nagd_eta=1e-4, nagd_steps=3)
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        for key in ("delta.refine", "w.refine.1", "w.refine.2"):
+            params.values[key][...] = 1e200
+        with pytest.raises(NanLossError, match="^non-finite loss at epoch 0$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            train(ds.pairs, model, cfg, TrainConfig(lr=0.0, epochs=1),
+                  params=params)
+
+    def test_breakdown_in_validation_names_its_epoch(self):
+        # the update diverges the parameters without breaking the training
+        # batch; the validation forward then loses a Cholesky pivot
+        model, ds, cfg = toy_setup(n_samples=5)
+        tcfg = TrainConfig(lr=1e3, epochs=1, seed=0)
+        with pytest.raises(NanLossError, match="^solver breakdown in "
+                           "validation after epoch 0: u-update system is not "
+                           "positive definite"):
+            train(ds.pairs[:4], model, cfg, tcfg, val_pairs=ds.pairs[4:],
+                  cov_init=0.1)
+
     def test_full_batch_history_is_mae_before_each_update(self):
         model, ds, cfg = toy_setup()
         tcfg = TrainConfig(lr=1e-3, epochs=3, seed=0)
