@@ -21,7 +21,6 @@ __all__ = [
     "ScaleRegularizer",
     "cost",
     "data_misfit",
-    "grad_z_datafit",
     "map_equivalence_check",
     "MapEquivalenceReport",
 ]
@@ -191,11 +190,6 @@ def cost(u, z, model, y, p, r):
     """Joint objective F(u, z); raises DomainError outside the domain of R."""
     r.check_domain(z)
     return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u) + r.value(z)
-
-
-def grad_z_datafit(z, u, model, y):
-    """Gradient of the data term in z:  A_u^T (A_u z - y), A_u = A Diag(u)."""
-    return u * model.adjoint(model.apply(u * z) - y)
 
 
 @dataclass

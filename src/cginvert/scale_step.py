@@ -14,7 +14,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import LinesearchFailure
-from .regularizer import data_misfit, grad_z_datafit
+from .regularizer import data_misfit
 from .sensing import spectral_norm
 
 __all__ = [
@@ -94,12 +94,13 @@ def pgd_step(z, u, model, y, r, ls):
     Returns (z_new, eta_used).  Backtracking accepts the largest halved
     eta <= eta_init with f(z') <= f(z) - alpha * <grad f(z), z - z'>.
     """
-    grad = grad_z_datafit(z, u, model, y) + r.grad(z)
+    res = model.apply(u * z) - y
+    grad = u * model.adjoint(res) + r.grad(z)
     if ls.mode == "fixed":
         eta = _fixed_eta(u, model, ls, lambda: r.curvature_bound(z))
         return r.project(z - eta * grad), eta
 
-    f0 = data_misfit(z, u, model, y) + r.value(z)
+    f0 = 0.5 * float(res @ res) + r.value(z)
     eta = ls.eta_init
     for _ in range(ls.max_halvings + 1):
         cand = r.project(z - eta * grad)
@@ -119,12 +120,13 @@ def ista_step(z, u, model, y, r, ls):
     f(z') <= f(z) + <grad f(z), z' - z> + ||z' - z||^2 / (2 eta)
     holds for the smooth data term f alone.
     """
-    grad = grad_z_datafit(z, u, model, y)
+    res = model.apply(u * z) - y
+    grad = u * model.adjoint(res)
     if ls.mode == "fixed":
         eta = _fixed_eta(u, model, ls, lambda: 0.0)
         return r.prox(z - eta * grad, eta), eta
 
-    f0 = data_misfit(z, u, model, y)
+    f0 = 0.5 * float(res @ res)
     eta = ls.eta_init
     for _ in range(ls.max_halvings + 1):
         cand = r.prox(z - eta * grad, eta)

@@ -113,53 +113,52 @@ class SensingModel:
         return self._dense_ata
 
     def gram_map(self):
-        """Map from pixel weights w to the lower triangle of Psi Diag(w) Psi^T
-        on Psi's live rows, those with a stored entry (cached; sparse Psi only).
+        """Map from pixel weights w to the lower triangle of I + Psi Diag(w)
+        Psi^T on Psi's live rows, those with a stored entry (cached; sparse
+        Psi only).
 
-        Returns (live, flat, gram): the live row indices, increasing; the
-        column-major flat positions j*r + i, i >= j, of the structural
-        nonzeros of that triangle among the r = live.size live rows and
-        columns; and a CSR matrix with gram[e, k] = Psi[live[i], k]
-        Psi[live[j], k] for the pair at flat[e], so that the triangle's values
-        are gram @ w.  An empty row's row and column of the product are zero.
-        It depends on Psi alone: the symbolic half of forming the Woodbury
-        system, one O(sum_k nnz(Psi[:, k])^2) pass instead of a sparse-sparse
-        product per call.  Nothing is sorted: a row's rank among the live
-        rows is a cumsum of m bool marks; the triangle's nonzero positions
-        are marked in r^2 bools (1/8 of the r x r float64 system the
-        u-update fills) and ranked by scattering 0, 1, ... onto them; and
-        gram is laid out by pixel, in the order the pairs are made, so its
-        CSR form is one transpose.
+        Returns (live, gram): the live row indices, increasing, and a CSC
+        matrix of shape (r*r, n+1), r = live.size, whose row j*r + i is the
+        column-major position of entry (i, j), i >= j, of the r x r system.
+        gram[j*r + i, k] = Psi[live[i], k] Psi[live[j], k] for pixel k < n,
+        and the last column holds 1.0 at each diagonal position i*(r+1), so
+        gram @ append(w, 1.0) is the whole lower triangle, zeros above it,
+        in the order LAPACK reads a Fortran array.  A CSC mat-vec sums each
+        entry from 0 over the columns in increasing order: pixel by pixel,
+        then the identity last, as a sorted row sum followed by += 1.0 does.
+        An empty row's row and column of the product are zero.  It depends
+        on Psi alone: the symbolic half of forming the Woodbury system, one
+        O(sum_k nnz(Psi[:, k])^2) pass instead of a sparse-sparse product
+        per call.  Nothing is sorted: a row's rank among the live rows is a
+        cumsum of m bool marks, and pairing each entry with those at and
+        below it in its column makes each column's rows increase.
         """
         if self._gram_map is None:
             csc = self.psi.tocsc(copy=True)
             csc.sum_duplicates()  # sorted rows, one entry per (row, column)
             counts = np.diff(csc.indptr)
-            start = np.repeat(csc.indptr[:-1], counts)
             # the entry at position p of its column pairs with positions
-            # 0..p of that column, whose rows are no larger
-            reps = np.arange(csc.nnz) - start + 1
+            # p.. of that column, whose rows are no smaller
+            reps = np.repeat(csc.indptr[1:], counts) - np.arange(csc.nnz)
             first = np.repeat(np.arange(csc.nnz), reps)
-            second = (np.arange(first.size) + start[first]
+            second = (np.arange(first.size) + first
                       - np.repeat(np.cumsum(reps) - reps, reps))
             mark = np.zeros(self.m, dtype=bool)
             mark[csc.indices] = True
             live = np.flatnonzero(mark)
+            r = live.size
             rows = (np.cumsum(mark) - 1)[csc.indices]
-            key = rows[second] * live.size + rows[first]
-            mark = np.zeros(live.size * live.size, dtype=bool)
-            mark[key] = True
-            flat = np.flatnonzero(mark)
-            rank = np.empty(mark.size, dtype=np.intp)
-            rank[flat] = np.arange(flat.size)
-            slot = rank[key]
             # column k of gram holds the counts[k] (counts[k] + 1) / 2 pairs
-            # of Psi's column k
-            indptr = np.concatenate(([0], np.cumsum(counts * (counts + 1) // 2)))
+            # of Psi's column k, its rows increasing; column n the r
+            # diagonal ones
+            indptr = np.cumsum(np.concatenate(
+                ([0], counts * (counts + 1) // 2, [r])))
             gram = sp.csc_matrix(
-                (csc.data[first] * csc.data[second], slot, indptr),
-                shape=(flat.size, self.n)).tocsr()
-            self._gram_map = (live, flat, gram)
+                (np.concatenate((csc.data[first] * csc.data[second], np.ones(r))),
+                 np.concatenate((rows[first] * r + rows[second],
+                                 np.arange(r) * (r + 1))),
+                 indptr), shape=(r * r, self.n + 1))
+            self._gram_map = (live, gram)
         return self._gram_map
 
     def fingerprint_config(self):

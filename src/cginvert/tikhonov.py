@@ -9,13 +9,15 @@ Psi Diag(z^2 d) Psi^T + I is formed on Psi's live rows only, those with a
 stored entry: an empty row contributes an identity row and column whose
 solution entry Psi^T never reads, so dropping it is exact (78 of the 690
 Radon 32x32/15 rows are empty).  A per-operator map of Psi's Gram pattern
-(SensingModel.gram_map) is built once, without a sort: live rows and
-triangle positions are ranked by cumsums of an m-bool and an r^2-bool mark,
-r the number of live rows.  One sparse mat-vec per u-update then writes the
-system's lower triangle in column-major order, where LAPACK factors it in
-place, and the dense A is never built.  The O(r^3) Cholesky is then the only
-r^2-sized work left per update: no second copy is made, and the finite
-checks read the diagonal and the whole right-hand side only.
+(SensingModel.gram_map) is built once, without a sort: an (r^2) x (n+1)
+sparse matrix, r the number of live rows, whose last column adds the
+identity.  One sparse mat-vec per u-update then writes the system's whole
+lower triangle in column-major order, the array LAPACK factors in place,
+with no scatter and no diagonal pass, and the dense A is never built; it
+sums each entry over the pixels in increasing order and adds the identity
+last, the bits of a row sum followed by += 1.0.  The O(r^3) Cholesky is then
+the only r^2-sized work left per update: no second copy is made, and the
+finite checks read the diagonal and the whole right-hand side only.
 The factor and every solve call LAPACK's dpotrf and dpotrs directly, bound
 once at import: SciPy's cho_factor and cho_solve run the same two kernels on
 the same operands, so every output keeps its bits, but their batch and
@@ -134,21 +136,19 @@ def _tikhonov_woodbury_with_factor(z, model, y, p):
         # A_z P A_z^T = Psi Diag(z^2 d) Psi^T and P A_z^T = Diag(d z) Psi^T.
         # An empty row i of Psi makes row and column i of the system e_i, so
         # v_i = y_i, which Psi^T never reads: the system is solved on the
-        # live rows alone.  Only the lower triangle is filled, at its
-        # column-major positions, so the transposed view is the Fortran
-        # array LAPACK factors in place; the factor and every solve against
-        # it read no other entry.
-        live, flat, gram = model.gram_map()
+        # live rows alone.  One product writes the lower triangle, identity
+        # included, at its column-major positions, so the transposed view
+        # is the Fortran array LAPACK factors in place; the factor and every
+        # solve against it read no other entry.
+        live, gram = model.gram_map()
         r = live.size
-        s = np.zeros(r * r)
-        s[flat] = gram @ (z * z * d)
-        s = s.reshape(r, r).T
+        s = (gram @ np.append(z * z * d, 1.0)).reshape(r, r).T
     else:
         live = slice(None)
         az = model.dense_a() * z[None, :]
         azp = az * d[None, :] if d is not None else az @ p.materialize()
         s = np.asfortranarray(azp @ az.T)
-    s[np.diag_indices(s.shape[0])] += 1.0
+        s[np.diag_indices(s.shape[0])] += 1.0
     cho = _factor(s, psd_plus_identity=sparse)
     v = _backsolve(cho, y, live)
     u = d * z * model.adjoint(v) if sparse else azp.T @ v

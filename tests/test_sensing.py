@@ -287,14 +287,12 @@ class TestComposition:
 
 
 def mapped_gram(model, w):
-    """Psi Diag(w) Psi^T on Psi's live rows as the Woodbury u-update forms
-    it: lower triangle only, at column-major positions, so its transpose is
-    the matrix."""
-    live, flat, gram = model.gram_map()
+    """I + Psi Diag(w) Psi^T on Psi's live rows as the Woodbury u-update
+    forms it: lower triangle only, at column-major positions, so its
+    transpose is the matrix."""
+    live, gram = model.gram_map()
     r = live.size
-    s = np.zeros(r * r)
-    s[flat] = gram @ w
-    return s.reshape(r, r).T
+    return (gram @ np.append(w, 1.0)).reshape(r, r).T
 
 
 def live_rows(psi):
@@ -308,18 +306,26 @@ IRREGULAR = sp.csr_matrix(
     ([1.5, -2.0, 0.5, 3.0, 1.0, 0.25, -1.25, 2.0, 0.75, -0.5],
      [5, 0, 2, 3, 0, 0, 4, 0, 5, 2], [0, 3, 5, 8, 10]), shape=(4, 6))
 
+# rows 1 and 3 store nothing and drop out; row 2 stores one explicit zero,
+# which counts as an entry and keeps it
+SPARSE_ROWS = sp.csr_matrix(([2.0, -1.0, 0.0, 0.5, 1.5],
+                             [0, 2, 1, 2, 3], [0, 2, 2, 3, 3, 5]),
+                            shape=(5, 4))
+
 
 class TestGramMap:
     @staticmethod
     def assert_maps_lower_gram(model, seed):
         w = np.random.default_rng(seed).uniform(0.1, 3.0, model.n)
-        live, flat, _ = model.gram_map()
+        live, gram = model.gram_map()
         assert np.array_equal(live, live_rows(model.psi))
         psi = model.psi.toarray()[live]
-        expect = np.tril((psi * w[None, :]) @ psi.T)
-        assert np.all(flat // live.size <= flat % live.size)
+        lower = np.tril((psi * w[None, :]) @ psi.T)
+        assert gram.shape == (live.size ** 2, model.n + 1)
+        assert np.all(gram.indices // live.size <= gram.indices % live.size)
         got = mapped_gram(model, w)
-        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+        assert (np.linalg.norm(got - lower - np.eye(live.size))
+                <= 1e-14 * np.linalg.norm(lower))
 
     @pytest.mark.parametrize("side,angles", [(32, 15), (16, 5), (6, 3)])
     def test_radon_lower_triangle_matches_dense_product(self, side, angles):
@@ -327,7 +333,7 @@ class TestGramMap:
 
     def test_radon_paper_operator_drops_its_empty_detector_rows(self):
         model = build_radon(32, 15)
-        live, _, _ = model.gram_map()
+        live, _ = model.gram_map()
         assert (model.m, model.m - live.size) == (690, 78)
         psi = model.psi.toarray()
         assert not psi[np.setdiff1d(np.arange(model.m), live)].any()
@@ -341,12 +347,7 @@ class TestGramMap:
         assert np.array_equal(model.gram_map()[0], np.arange(model.m))
 
     def test_empty_and_explicit_zero_rows(self):
-        # rows 1 and 3 store nothing and drop out; row 2 stores one
-        # explicit zero, which counts as an entry and keeps it
-        psi = sp.csr_matrix(([2.0, -1.0, 0.0, 0.5, 1.5],
-                             [0, 2, 1, 2, 3], [0, 2, 2, 3, 3, 5]),
-                            shape=(5, 4))
-        model = SensingModel(psi)
+        model = SensingModel(SPARSE_ROWS)
         assert np.array_equal(model.gram_map()[0], [0, 2, 4])
         self.assert_maps_lower_gram(model, 2)
 
@@ -413,9 +414,11 @@ def reference_radon_psi(side, n_angles):
         shape=(n_angles * n_det, side * side), dtype=np.float64)
 
 
-def reference_gram_map(psi, m, n):
-    """gram_map built with sorts: np.unique for the live rows and the flat
-    positions, and a COO-to-CSR conversion for gram."""
+def column_pairs(psi):
+    """Psi in canonical CSC form, and every pair (first, second) of stored
+    entries of one column with second's row no larger than first's: each
+    entry paired with itself and those above it; pixel holds the pairs'
+    column."""
     csc = psi.tocsc(copy=True)
     csc.sum_duplicates()
     counts = np.diff(csc.indptr)
@@ -424,13 +427,22 @@ def reference_gram_map(psi, m, n):
     first = np.repeat(np.arange(csc.nnz), reps)
     second = (np.arange(first.size) + start[first]
               - np.repeat(np.cumsum(reps) - reps, reps))
+    pixel = np.repeat(np.arange(psi.shape[1]), counts)[first]
+    return csc, first, second, pixel
+
+
+def reference_gram_map(psi, m, n):
+    """gram_map built with sorts: np.unique for the live rows and a
+    COO-to-CSC conversion, which sorts each column's rows, for gram."""
+    csc, first, second, pixel = column_pairs(psi)
     live, rows = np.unique(csc.indices, return_inverse=True)
-    flat, slot = np.unique(rows[second] * live.size + rows[first],
-                           return_inverse=True)
-    pixel = np.repeat(np.arange(n), counts)[first]
-    gram = sp.csr_matrix((csc.data[first] * csc.data[second], (slot, pixel)),
-                         shape=(flat.size, n))
-    return live, flat, gram
+    r = live.size
+    gram = sp.coo_matrix(
+        (np.concatenate((csc.data[first] * csc.data[second], np.ones(r))),
+         (np.concatenate((rows[second] * r + rows[first], np.arange(r) * (r + 1))),
+          np.concatenate((pixel, np.full(r, n))))),
+        shape=(r * r, n + 1)).tocsc()
+    return live, gram
 
 
 def assert_same_csr(got, expect):
@@ -451,10 +463,10 @@ class TestVectorizedConstruction:
 
     @staticmethod
     def assert_same_gram_map(model):
-        live, flat, gram = model.gram_map()
-        r_live, r_flat, r_gram = reference_gram_map(model.psi, model.m, model.n)
+        live, gram = model.gram_map()
+        r_live, r_gram = reference_gram_map(model.psi, model.m, model.n)
         assert np.array_equal(live, r_live)
-        assert flat.dtype == r_flat.dtype and np.array_equal(flat, r_flat)
+        assert gram.format == r_gram.format == "csc"
         assert_same_csr(gram, r_gram)
 
     @pytest.mark.parametrize("side,angles", ORACLE_SIZES)

@@ -27,7 +27,7 @@ from cginvert.tikhonov import (
     tikhonov_nagd,
     u_objective,
 )
-from test_sensing import mapped_gram
+from test_sensing import IRREGULAR, SPARSE_ROWS, column_pairs, mapped_gram
 
 
 def random_cov(kind, n, rng, scale=1.0):
@@ -320,7 +320,7 @@ class TestInPlaceFactor:
         # the factor is that of the live-row block of the full system
         model, z, y, p = radon
         _, (route, c, live) = tikhonov_factored(z, model, y, p)
-        low = mapped_gram(model, z * z * p.diag_values()) + np.eye(live.size)
+        low = mapped_gram(model, z * z * p.diag_values())
         ref, _ = sla.cho_factor(low + np.tril(low, -1).T, lower=True)
         assert route == "woodbury" and c.shape == (612, 612)
         assert np.array_equal(np.tril(c), np.tril(ref))
@@ -340,16 +340,72 @@ class TestInPlaceFactor:
         assert a.flags.f_contiguous and np.shares_memory(a, c)
 
     def test_update_holds_one_m_by_m_array(self, radon):
+        # the r x r system on the live rows and O(m + n) floats besides: no
+        # r^2-sized or triangle-sized temporary
         model, z, y, p = radon
         tikhonov_factored(z, model, y, p)  # builds the cached gram map
+        r = model.gram_map()[0].size
         tracemalloc.start()
         try:
             tikhonov_factored(z, model, y, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * model.m ** 2 * 8
+        assert peak - r * r * 8 < 64 * (model.m + model.n)
 
+
+def reference_system(psi, w):
+    """I + Psi Diag(w) Psi^T on Psi's live rows, its lower triangle in a
+    Fortran array, formed in three passes: a CSR row sum over the sorted
+    unique triangle positions, each row's pixels increasing; a scatter of
+    those values into zeros; then 1.0 added on the diagonal."""
+    csc, first, second, pixel = column_pairs(psi)
+    live, rows = np.unique(csc.indices, return_inverse=True)
+    r = live.size
+    flat, slot = np.unique(rows[second] * r + rows[first], return_inverse=True)
+    gram = sp.csr_matrix((csc.data[first] * csc.data[second], (slot, pixel)),
+                         shape=(flat.size, psi.shape[1]))
+    s = np.zeros(r * r)
+    s[flat] = gram @ w
+    s = s.reshape(r, r).T
+    s[np.diag_indices(r)] += 1.0
+    return s
+
+
+class TestFormedSystemBits:
+    """The one product that forms the sparse Woodbury system sums each
+    entry in the order the three-pass build does, so the system and its
+    factor keep their bits: the identity column comes last."""
+
+    CASES = {"radon-32-15": lambda: build_radon(32, 15).psi,
+             "radon-16-5": lambda: build_radon(16, 5).psi,
+             "radon-6-3": lambda: build_radon(6, 3).psi,
+             "irregular": lambda: IRREGULAR,
+             "empty-rows": lambda: SPARSE_ROWS}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_system_and_factor_equal_the_three_pass_build(self, case, monkeypatch):
+        model = SensingModel(self.CASES[case]())
+        rng = np.random.default_rng(list(self.CASES).index(case))
+        p = CovarianceParam.diagonal(model.n, rng.uniform(0.5, 2.0, model.n))
+        z = rng.uniform(0.2, 2.0, model.n)
+        formed = []
+
+        def spy(a, **kwargs):
+            formed.append(a.copy(order="F"))
+            return sla.lapack.dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(tikhonov, "_dpotrf", spy)
+        # the 5 x 4 empty-rows case has m > n, which tikhonov_factored
+        # routes to the direct solve
+        _, cho, _ = _tikhonov_woodbury_with_factor(
+            z, model, rng.standard_normal(model.m), p)
+        expect = reference_system(model.psi, z * z * p.diag_values())
+        [got] = formed
+        assert got.tobytes(order="F") == expect.tobytes(order="F")
+        ref, info = sla.lapack.dpotrf(expect, lower=1, clean=0)
+        assert info == 0
+        assert cho.tobytes(order="F") == ref.tobytes(order="F")
 
 
 class TestLapackSeam:
@@ -452,7 +508,7 @@ class TestLiveRows:
 
     def test_nan_measurement_on_an_empty_row_raises(self, radon):
         model, z, y, p, _ = radon
-        live, _, _ = model.gram_map()
+        live, _ = model.gram_map()
         y = y.copy()
         y[np.setdiff1d(np.arange(model.m), live)[0]] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
