@@ -56,7 +56,7 @@ def _load_cfg(args):
 
 def _load_run(args):
     """(config, sensing model, dataset) of a command that reads --dataset;
-    a dataset made with another sensing model is a DataError."""
+    a dataset made with or sized for another sensing model is a DataError."""
     cfg = _load_cfg(args)
     model = cfgmod.build_model(cfg)
     ds = load_dataset(args.dataset)
@@ -65,6 +65,9 @@ def _load_run(args):
         raise DataError(
             f"dataset fingerprint {ds.model_fingerprint} does not match the "
             f"configured sensing model {fp}")
+    if (ds.m, ds.n) != (model.m, model.n):
+        raise DataError(f"dataset holds m={ds.m}, n={ds.n}; the configured sensing "
+                        f"model has m={model.m}, n={model.n}")
     return cfg, model, ds
 
 

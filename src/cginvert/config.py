@@ -2,6 +2,8 @@
 
 Sections: sensing.*, reg.*, tikhonov.*, zstep.*, solver.*, net.*, train.*,
 data.*.  Unknown keys are rejected by name; CLI --set overrides file values.
+A key that sets a config dataclass field takes its name, parser and default
+from the field; only the keys with no such field are listed by hand.
 """
 
 from __future__ import annotations
@@ -61,17 +63,6 @@ _REGISTRY = {
     "sensing.dict": (str, "identity"),
     "reg.kind": (str, "logsq"),
     "reg.mu": (float, 1.0),
-    "tikhonov.mode": (str, SolverConfig.tikhonov_mode),
-    "tikhonov.nagd_steps": (int, NagdConfig.steps),
-    "tikhonov.eta": (_float_or_auto, NagdConfig.eta),
-    "zstep.method": (str, SolverConfig.zstep_method),
-    "zstep.linesearch": (str, LinesearchConfig.mode),
-    "zstep.eta": (_float_or_auto, LinesearchConfig.eta),
-    "zstep.alpha": (float, LinesearchConfig.alpha),
-    "solver.K": (int, SolverConfig.K),
-    "solver.J": (int, SolverConfig.J),
-    "solver.b": (float, SolverConfig.b),
-    "solver.stop_tol": (float, SolverConfig.stop_tol),
     "solver.cov": (str, "scaled_identity"),
     "solver.cov_value": (float, 1.0),
     "solver.eps": (float, DEFAULT_EPS),
@@ -84,20 +75,31 @@ _REGISTRY = {
 }
 
 
+# Key section of each config dataclass: a field's key is <section>.<field>
+# unless _RENAMED says otherwise, and a field annotated with another of these
+# classes (SolverConfig.nagd, .linesearch) is built from that class's section.
+_SECTIONS = {NetConfig: "net", TrainConfig: "train", SolverConfig: "solver",
+             NagdConfig: "tikhonov", LinesearchConfig: "zstep"}
+_NESTED = {cls.__name__: cls for cls in _SECTIONS}
+_RENAMED = {"net.cov_kind": "net.cov", "solver.tikhonov_mode": "tikhonov.mode",
+            "solver.zstep_method": "zstep.method",
+            "tikhonov.steps": "tikhonov.nagd_steps", "zstep.mode": "zstep.linesearch"}
+
+
 def _field_key(section, name):
-    """Registry key of a NetConfig (section "net") or TrainConfig ("train")
-    field: <section>.<name>, except net.cov for cov_kind."""
-    return f"{section}.{'cov' if name == 'cov_kind' else name}"
+    """Registry key of field name of the config dataclass in section."""
+    key = f"{section}.{name}"
+    return _RENAMED.get(key, key)
 
 
-# Parser of each field annotation (params.py postpones annotations, so they
-# are strings); a field with any other annotation fails here at import.
+# Parser of each field annotation (the config dataclasses' modules postpone
+# annotations, so they are strings); any other annotation fails at import.
 _FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
                   "tuple": _int_list, "float | None": _float_or_auto,
                   "int | None": _int_or_none}
 _REGISTRY.update({_field_key(section, f.name): (_FIELD_PARSERS[f.type], f.default)
-                  for cls, section in ((NetConfig, "net"), (TrainConfig, "train"))
-                  for f in fields(cls)})
+                  for cls, section in _SECTIONS.items()
+                  for f in fields(cls) if f.type not in _NESTED})
 
 
 class RunConfig:
@@ -213,32 +215,19 @@ def build_solver(cfg, n):
             r = ScaleRegularizer.zero()
         else:
             raise ConfigError(f"unknown reg.kind: {kind}")
-        scfg = SolverConfig(
-            K=cfg.get("solver.K"),
-            J=cfg.get("solver.J"),
-            b=cfg.get("solver.b"),
-            tikhonov_mode=cfg.get("tikhonov.mode"),
-            nagd=NagdConfig(steps=cfg.get("tikhonov.nagd_steps"),
-                            eta=cfg.get("tikhonov.eta")),
-            zstep_method=cfg.get("zstep.method"),
-            linesearch=LinesearchConfig(
-                mode=cfg.get("zstep.linesearch"),
-                eta=cfg.get("zstep.eta"),
-                alpha=cfg.get("zstep.alpha"),
-            ),
-            stop_tol=cfg.get("solver.stop_tol"),
-        )
-    return p, r, scfg
+    return p, r, _from_fields(SolverConfig, cfg)
 
 
-def _from_fields(cls, section, cfg):
+def _from_fields(cls, cfg):
+    """cls from its section's keys; nested configs are built (and checked) first."""
+    section = _SECTIONS[cls]
     with _config_errors():
-        return cls(**{f.name: cfg.get(_field_key(section, f.name))
-                      for f in fields(cls)})
+        return cls(**{f.name: _from_fields(_NESTED[f.type], cfg) if f.type in _NESTED
+                      else cfg.get(_field_key(section, f.name)) for f in fields(cls)})
 
 
 def build_net_config(cfg):
-    return _from_fields(NetConfig, "net", cfg)
+    return _from_fields(NetConfig, cfg)
 
 
 def build_train_config(cfg):
@@ -247,7 +236,7 @@ def build_train_config(cfg):
         raise ConfigError("train.epochs must be >= 1")
     if cfg.get("train.seed") < 0:
         raise ConfigError("train.seed must be >= 0")
-    return _from_fields(TrainConfig, "train", cfg)
+    return _from_fields(TrainConfig, cfg)
 
 
 def build_init_params(cfg, net_cfg, n):

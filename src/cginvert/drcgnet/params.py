@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,11 @@ class NetConfig:
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.type == "int"] + [("channels", c) for c in self.channels]
+        for name, value in ints:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.K < 1 or self.J < 1:
             raise ValueError("K and J must be >= 1")
         if self.kernel < 1 or self.kernel % 2 != 1:

@@ -291,6 +291,30 @@ class TestMalformedInput:
             *inputs, "--out", str(out))
         assert code == 2 and err.startswith(f"config error: {out}: ")
 
+    @pytest.mark.parametrize("command", ["solve", "train", "eval", "diagnose"])
+    def test_dataset_sized_for_another_operator(self, cfg_path, tmp_path, capsys,
+                                                command):
+        # m=71 samples against the configured Radon 8x8/6 (m=72), with the
+        # stored sensing-model fingerprint left intact
+        ds = self.gen(cfg_path, tmp_path)
+        inputs = ["--dataset", str(ds)]
+        if command == "eval":
+            ck = tmp_path / "ck"
+            assert run("train", "--config", cfg_path, "--set", "train.epochs=1",
+                       "--dataset", str(ds), "--out", str(ck)) == 0
+            inputs += ["--checkpoint", str(ck)]
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["m"] = 71
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        for i in range(manifest["n_samples"]):
+            y = ds / f"y_{i}.f64"
+            y.write_bytes(y.read_bytes()[:-8])
+        code, err = self.one_line_error(
+            capsys, command, "--config", cfg_path, "--set", "train.epochs=1",
+            *inputs, "--out", str(tmp_path / "out"))
+        assert code == 3 and err.startswith("data error: ")
+        assert "m=71" in err and "m=72" in err
+
     @staticmethod
     def one_line_error(capsys, *argv):
         """Run argv; return (exit code, its one-line stderr message)."""
@@ -570,18 +594,21 @@ class TestMalformedInput:
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
         assert "not an object" in err
 
-    @pytest.mark.parametrize("path,expect", [
-        (("n",), "'n' should be int, not str"),
-        (("net", "K"), "malformed"),
-        (("shapes", "w.1.1.1"), "malformed")], ids=["n", "net.K", "shape"])
+    @pytest.mark.parametrize("path,value,expect", [
+        (("n",), "x", "'n' should be int, not str"),
+        (("net", "K"), "x", "malformed"),
+        (("shapes", "w.1.1.1"), "x", "malformed"),
+        (("net", "K"), 2.0, "K must be an int, got 2.0"),
+        (("net", "depth"), 2.0, "depth must be an int, got 2.0")],
+        ids=["n", "net.K", "shape", "net.K=2.0", "net.depth=2.0"])
     def test_checkpoint_manifest_mistyped_value(self, cfg_path, tmp_path, capsys,
-                                                path, expect):
+                                                path, value, expect):
         def corrupt(ck):
             manifest = json.loads((ck / "manifest.json").read_text())
             parent = manifest
             for key in path[:-1]:
                 parent = parent[key]
-            parent[path[-1]] = "x"
+            parent[path[-1]] = value
             (ck / "manifest.json").write_text(json.dumps(manifest))
 
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
