@@ -15,6 +15,10 @@ import sys
 import time
 from dataclasses import fields
 
+# before NumPy loads: one BLAS thread, the bit contract's, unless exported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import config as cfgmod

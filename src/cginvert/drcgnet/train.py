@@ -1,32 +1,31 @@
 """Deterministic training of the unrolled network on mean absolute error.
 
-The batch gradient is the mean over samples, each sample's backward adding
-its one term per array straight into the one batch dict in fixed sample
-order; no shuffling, so a fixed seed reproduces the loss history bit for
-bit.
+A train call copies the parameters into one float64 vector and rebinds each
+params.values entry to its view, so the caller's NetParams is trained in
+place; Adam updates that vector, and the batch gradient is one vector too,
+into whose views each sample's backward adds its one term per array, in
+fixed sample order.  No shuffling: a fixed seed reproduces the loss history
+bit for bit.
 
 Where the process may fork and use two CPUs and the whole call's work
 (epochs x samples x one sample's conv and Cholesky multiply-adds, floored
-for a small net's per-call overhead) clears _FORK_MACS (_forks), a batch
-runs in halves on two processes.  At the first batch of two or more
-samples, train forks one worker process (_Worker); from then on the main
-process sends the worker the indices of the batch's last floor(B/2)
-samples in one message, computes the first ceil(B/2) itself as before, and
-reads the worker's loss terms back in one reply: one pipe round trip per
-batch.  The worker reads the parameters from a shared mirror that the main
-process refills before each batch, and writes each of its samples'
-gradients, started from zeros, to a shared slot of its own; the main
-process then adds the slots into the batch gradient in sample order.  A
-sample's backward adds one term to each array, the covariance's block
-terms summed first, so adding the slots gives the serial sum's bits: loss
-histories, gradients and checkpoints are the same as on one CPU.  The
-worker is stopped and joined when train returns or raises, so no child
-outlives the call.
+for a small net's per-call overhead) clears _FORK_MACS (_forks), batches
+run in halves on two processes.  The parameter vector and one gradient slot
+per sample of the first (largest) batch's last half then lie in one
+anonymous mapping shared with a worker process (_Worker) forked before the
+first batch.  Per batch, the main process sends the worker the indices of
+the last floor(B/2) samples in one message, computes the first ceil(B/2),
+and reads the worker's loss terms back in one reply; only then does Adam
+write the parameters the worker reads.  The worker writes each sample's
+gradient, started from zeros, to a slot of its own, and the main process
+adds the slots in sample order: as a sample's backward adds one term to
+each array, that gives the serial sum's bits, so histories, gradients and
+checkpoints are the same as on one CPU.  When train returns or raises, the
+worker is stopped and joined, and the parameters move to a private vector.
 """
 
 from __future__ import annotations
 
-import contextlib
 import mmap
 import multiprocessing
 import os
@@ -36,7 +35,7 @@ import numpy as np
 
 from ..errors import DivergenceError, NanLossError, WorkerError
 from .network import backward, forward
-from .params import NetParams, init_params
+from .params import init_params
 
 __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 
@@ -53,38 +52,34 @@ __all__ = ["Adam", "mae", "train", "evaluate_mae"]
 # 329M, and its one-epoch calls on 4 samples in batches of 2 took 0.090 s
 # with the worker against 0.144 s serial (medians of 12).
 _FORK_MACS = 30_000_000
-# CPUs this process may run on (sched_getaffinity is Linux-only)
+# CPUs this process may run on (sched_getaffinity is Linux-only); the gate
+# assumes one BLAS thread per process, the CLI's default
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of parameter arrays."""
+    """Adaptive-moment optimizer over one parameter vector."""
 
     def __init__(self, lr, beta1, beta2, eps):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {}
-        self.v = {}
+        self.m = self.v = 0.0  # vectors from the first step on
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, params, grad):
+        """Update the vector params in place from its gradient grad."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for key, val in params.items():
-            g = grads[key]
-            if key not in self.m:
-                self.m[key] = np.zeros_like(val)
-                self.v[key] = np.zeros_like(val)
-            self.m[key] *= self.beta1
-            self.m[key] += (1.0 - self.beta1) * g
-            self.v[key] *= self.beta2
-            self.v[key] += (1.0 - self.beta2) * (g * g)
-            denom = np.sqrt(self.v[key] / bc2) + self.eps
-            val -= self.lr * (self.m[key] / bc1) / denom
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grad * grad)
+        denom = np.sqrt(self.v / bc2) + self.eps
+        params -= self.lr * (self.m / bc1) / denom
 
 
 def mae(c_hat, c_true):
@@ -146,15 +141,26 @@ def _views(flat, like):
         start += val.size
 
 
-def _serve(conn, parent_end, pairs, model, params, shared, n_slots):
+def _flat_state(params, n_slots):
+    """Copy params into one vector, rebinding each params.values entry to its
+    view; return (vector, n_slots gradient slots).  With slots, all of them
+    lie in one anonymous mapping, which a forked worker shares."""
+    size = sum(v.size for v in params.values.values())
+    shared = (np.frombuffer(mmap.mmap(-1, 8 * size * (n_slots + 1)))
+              if n_slots else np.empty(size))
+    flat, *slots = np.split(shared, n_slots + 1)
+    np.concatenate([v.ravel() for v in params.values.values()], out=flat)
+    params.values.update(list(_views(flat, params.values)))
+    return flat, slots
+
+
+def _serve(conn, parent_end, pairs, model, params, slots):
     """The worker's loop: compute the samples each message names, each
     into its own slot, until the pipe closes.  The parent stops the worker;
     ^C is the parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
-    mirror, *flat_slots = np.split(shared, n_slots + 1)
-    params = NetParams(params.cfg, params.n, dict(_views(mirror, params.values)))
-    grads = [dict(_views(flat, params.values)) for flat in flat_slots]
+    grads = [dict(_views(slot, params.values)) for slot in slots]
     while True:
         try:
             todo, inv = conn.recv()
@@ -162,9 +168,9 @@ def _serve(conn, parent_end, pairs, model, params, shared, n_slots):
             return
         reply = []
         try:
-            for idx, flat, slot in zip(todo, flat_slots, grads):
-                flat.fill(0.0)
-                reply.append(_sample(pairs[idx], model, params, inv, slot))
+            for idx, slot, grad in zip(todo, slots, grads):
+                slot.fill(0.0)
+                reply.append(_sample(pairs[idx], model, params, inv, grad))
         except Exception as exc:  # the parent raises it, as one process would
             reply = exc
         conn.send(reply)
@@ -173,26 +179,19 @@ def _serve(conn, parent_end, pairs, model, params, shared, n_slots):
 class _Worker:
     """A forked process that computes part of each batch for train.
 
-    Shared memory holds a mirror of the parameters, which refresh() fills,
-    and n_slots gradient slots, one per sample of the largest part sent; the
+    It reads the parameters through params.values, views of the shared
+    vector, and writes each sample's gradient to its own shared slot; the
     pipe carries the samples' indices and scale there, and back their loss
     terms or the exception the first failing sample raised.  It is forked,
-    not spawned, so it inherits the samples and the operator unpickled.
+    not spawned, so it inherits the samples, the operator and those views.
     """
 
-    def __init__(self, pairs, model, params, n_slots):
-        size = sum(v.size for v in params.values.values())
-        shared = np.frombuffer(mmap.mmap(-1, 8 * size * (n_slots + 1)),
-                               dtype=np.float64)
-        # the parent keeps the flat mirror and slots, not per-array views:
-        # those of the mirror and one slot alone raised its peak heap by
-        # about 30 kB
-        self.mirror, *self.slots = np.split(shared, n_slots + 1)
+    def __init__(self, pairs, model, params, slots):
+        self.slots = slots
         self.conn, child_end = multiprocessing.Pipe()
         self.proc = multiprocessing.get_context("fork").Process(
             target=_serve, name="cginvert-train", daemon=True,
-            args=(child_end, self.conn, pairs, model, params, shared,
-                  n_slots))
+            args=(child_end, self.conn, pairs, model, params, slots))
         try:
             self.proc.start()
         except OSError as exc:
@@ -206,19 +205,15 @@ class _Worker:
         return WorkerError(f"training worker process {self.proc.pid} ended "
                            f"with exit code {self.proc.exitcode}")
 
-    def refresh(self, params):
-        np.concatenate([v.ravel() for v in params.values.values()],
-                       out=self.mirror)
-
     def submit(self, todo, inv):
         try:
             self.conn.send((todo, inv))
         except OSError:  # the worker has exited and closed its end
             raise self._died() from None
 
-    def add_results(self, grads):
-        """Wait for the submitted samples; add their gradients into grads in
-        sample order and return their loss terms."""
+    def add_results(self, grad):
+        """Wait for the submitted samples; add their gradients into the
+        vector grad in sample order and return their loss terms."""
         try:
             losses = self.conn.recv()
         except EOFError:
@@ -226,8 +221,7 @@ class _Worker:
         if isinstance(losses, Exception):
             raise losses
         for slot in self.slots[:len(losses)]:
-            for key, g in _views(slot, grads):
-                grads[key] += g
+            grad += slot
         return losses
 
     def close(self):
@@ -241,11 +235,13 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
           params=None, callback=None):
     """Train on (y, c) pairs; returns (params, history dict).
 
+    params (fresh from cfg_train.seed when None) are trained in place: the
+    call rebinds each params.values entry to a view of one vector.
     history["train_mae"][e] is the mean per-sample MAE of epoch e's batches,
     each at the parameters before its update (at full batch, those after
     epoch e-1); history["val_mae"][e] is evaluated after epoch e's updates.
-    With val_pairs and a patience setting, the best-validation parameters
-    are kept and returned.
+    With val_pairs and a patience setting, a copy of the best-validation
+    parameters is kept and returned.
     """
     n = model.n
     if params is None:
@@ -254,29 +250,29 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     history = {"train_mae": [], "val_mae": []}
     best = (np.inf, None)
     since_best = 0
+    # the first batch is the largest: its last half sizes the worker's slots
+    first = next(_batches(len(pairs), cfg_train.batch), ())
     forks = _forks(cfg_net, model.m, n, cfg_train.epochs, len(pairs))
-    worker = None
+    flat, slots = _flat_state(params, len(first) // 2 if forks else 0)
+    grad = np.zeros_like(flat)
+    grads = dict(_views(grad, params.values))
 
-    with contextlib.ExitStack() as stack:
+    worker = _Worker(pairs, model, params, slots) if slots else None
+    try:
         for epoch in range(cfg_train.epochs):
             epoch_loss = 0.0
             for batch in _batches(len(pairs), cfg_train.batch):
-                grads = params.zero_grads()
+                grad.fill(0.0)
                 loss = 0.0
                 inv = 1.0 / (len(batch) * n)
-                # the first batch is the largest: its half sizes the slots
-                if worker is None and forks and len(batch) > 1:
-                    worker = _Worker(pairs, model, params, len(batch) // 2)
-                    stack.callback(worker.close)
                 half = len(batch) // 2 if worker is not None else 0
                 try:
                     if half:
-                        worker.refresh(params)
                         worker.submit(list(batch[-half:]), inv)
                     for idx in batch[:len(batch) - half]:
                         loss += _sample(pairs[idx], model, params, inv, grads)
                     if half:
-                        for term in worker.add_results(grads):
+                        for term in worker.add_results(grad):
                             loss += term
                 except (np.linalg.LinAlgError, DivergenceError) as exc:
                     # diverged parameters break the inner factorization, or
@@ -286,8 +282,8 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                                        f"{exc}")
                 if not np.isfinite(loss):
                     raise NanLossError(f"non-finite loss at epoch {epoch}")
-                opt.step(params.values, grads)
-                if not all(np.isfinite(v).all() for v in params.values.values()):
+                opt.step(flat, grad)
+                if not np.isfinite(flat).all():
                     raise NanLossError(f"non-finite parameters after an update "
                                        f"at epoch {epoch}")
                 epoch_loss += loss * len(batch)
@@ -310,6 +306,11 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                             break
             if callback is not None:
                 callback(epoch, history)
+    finally:
+        if worker is not None:
+            worker.close()
+            # private memory: it pins no slot, and a later fork copies it
+            params.values.update(list(_views(flat.copy(), params.values)))
 
     if cfg_train.patience is not None and best[1] is not None:
         return best[1], history

@@ -6,6 +6,8 @@ maxval.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DataError
@@ -46,12 +48,10 @@ def read_pgm(path):
             data = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
-    toks = _pgm_tokens(data)
-    try:
-        magic, _ = next(toks)
-        (w, _), (h, _), (maxval, end) = (next(toks) for _ in range(3))
-    except StopIteration:
+    head = list(itertools.islice(_pgm_tokens(data), 4))
+    if len(head) < 4:
         raise DataError(f"{path}: truncated PGM header")
+    (magic, _), (w, _), (h, _), (maxval, end) = head
     magic = magic.decode()
     w, h, maxval = _pgm_ints(path, "header", (w, h, maxval))
     if magic not in ("P2", "P5"):

@@ -38,7 +38,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DivergenceError
-from .regularizer import data_misfit
 from .sensing import spectral_norm
 
 _dpotrf = sla.lapack.dpotrf
@@ -51,7 +50,6 @@ __all__ = [
     "tikhonov_adjoint",
     "tikhonov_nagd",
     "nagd_momentum",
-    "u_objective",
     "grad_u",
 ]
 
@@ -68,11 +66,6 @@ class NagdConfig:
             raise ValueError("NagdConfig.steps must be >= 1")
         if self.eta is not None and not 0.0 < self.eta < np.inf:
             raise ValueError(f"NagdConfig.eta must be finite and > 0, got {self.eta!r}")
-
-
-def u_objective(u, z, model, y, p):
-    """0.5*||A_z u - y||^2 + 0.5*u^T P^{-1} u (the u-dependent part of F)."""
-    return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u)
 
 
 def grad_u(u, z, model, y, p):
@@ -220,7 +213,7 @@ def tikhonov_nagd(u0, z, model, y, p, cfg, want_trace=False):
         f = np.inf
         if np.isfinite(u).all():  # a dense P's solve rejects u otherwise
             pu = p.solve(u)
-            f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # u_objective
+            f = 0.5 * float(res @ res) + 0.5 * float(u @ pu)  # F's u part
         if not np.isfinite(f):
             raise DivergenceError(f"u-objective is not finite after {j} "
                                   f"accelerated steps (eta={eta:g})")

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import cginvert
 from cginvert.cli import _fmt, main
 from cginvert.data_metrics import load_dataset
 from cginvert.drcgnet import evaluate_mae, load_checkpoint
@@ -223,7 +226,13 @@ class TestMalformedInput:
         (b"P2\n8 8\n255\n", b"1 2 x " + b"1 " * 61,
          "non-integer PGM pixel token"),
         (b"P2\n-8 8\n255\n", b"1 " * 64, "bad size -8x8"),
-    ], ids=["header-token", "pixel-token", "negative-width"])
+        (b"P5\n4 4\n", b"", "truncated PGM header"),
+        (b"P7\n8 8\n255\n", bytes(64), "not a PGM file (magic 'P7')"),
+        (b"P5\n8 8\n0\n", bytes(64), "bad maxval 0"),
+        (b"P2\n8 8\n255\n", b"1 " * 63, "expected 64 pixels, got 63"),
+        (b"P5\n6 6\n255\n", bytes(36), "expected 8x8, got (6, 6)"),
+    ], ids=["header-token", "pixel-token", "negative-width", "truncated-header",
+            "bad-magic", "maxval-0", "few-p2-pixels", "wrong-size"])
     def test_malformed_pgm(self, cfg_path, tmp_path, capsys, header, pixels,
                            expect):
         images = tmp_path / "images"
@@ -260,6 +269,29 @@ class TestMalformedInput:
             capsys, "gen-data", "--config", cfg_path, "--set",
             f"data.source={images}", "--out", str(tmp_path / "ds"))
         assert code == 3 and err.startswith("data error: ") and "im1.pgm" in err
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("sensing.kind = radon\nsensing.side 8\n")
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", str(path), "--out", str(tmp_path / "ds"))
+        assert code == 2
+        assert err == f"config error: {path}:2: expected key = value\n"
+
+    def test_override_without_equals(self, cfg_path, tmp_path, capsys):
+        code, err = self.one_line_error(
+            capsys, "gen-data", "--config", cfg_path, "--set", "sensing.side",
+            "--out", str(tmp_path / "ds"))
+        assert code == 2
+        assert err == "config error: override 'sensing.side' is not key=value\n"
+
+    def test_manifest_without_model_fingerprint(self, cfg_path, tmp_path, capsys):
+        ds = self.gen(cfg_path, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["model_fingerprint"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.solve_code(cfg_path, tmp_path, ds, capsys)
+        assert code == 3 and "lacks key 'model_fingerprint'" in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_file(self, tmp_path, capsys, kind):
@@ -628,6 +660,16 @@ class TestMalformedInput:
                                            *sets)
         assert f"checkpoint array {name} has shape {tuple(shape)}" in err
 
+    def test_checkpoint_order_names_an_array_without_shape(self, cfg_path,
+                                                           tmp_path, capsys):
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            del manifest["shapes"]["w.1.1.1"]
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "lacks key 'w.1.1.1'" in err
+
     @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
     def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):
         err = self.eval_corrupt_checkpoint(
@@ -868,6 +910,33 @@ class TestSettingsOffTheDefaults:
                    "--repro") == 0
         assert len(metric_rows(out / "metrics.csv")) == 3
 
+    def test_zero_regularizer_fixed_step_descends(self, cfg_path, tmp_path,
+                                                  capsys):
+        # with R = 0 the fixed step's Lipschitz constant has no regularizer
+        # share, and the data term's alone keeps every step descending
+        ds = self.gen(cfg_path, tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("solve", "--config", cfg_path, *self.small, "--set",
+                   "reg.kind=zero", "--set", "zstep.linesearch=fixed",
+                   "--dataset", str(ds), "--out", str(out), "--repro") == 0
+        assert capsys.readouterr().err == ""
+        for i in range(3):
+            f = [float(row["F"]) for row in metric_rows(out / f"trace_{i}.csv")]
+            assert len(f) > 1 and all(b <= a for a, b in zip(f, f[1:])), i
+
+    @pytest.mark.parametrize("value,refine", [("on", True), ("off", False)])
+    def test_refine_switch(self, cfg_path, tmp_path, capsys, value, refine):
+        ds = self.gen(cfg_path, tmp_path)
+        ck = tmp_path / "ck"
+        capsys.readouterr()
+        assert run("train", "--config", cfg_path, *self.small, "--set",
+                   "train.epochs=1", "--set", f"net.refine={value}",
+                   "--dataset", str(ds), "--out", str(ck)) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((ck / "manifest.json").read_text())
+        assert manifest["net"]["refine"] is refine
+
     def test_validation_split(self, cfg_path, tmp_path):
         ds = self.gen(cfg_path, tmp_path)
         ck = tmp_path / "ck"
@@ -943,3 +1012,25 @@ class TestSeeds:
             run("--seed", "7", "gen-data", "--config", cfg_path, "--out", str(out))
         assert exc.value.code == 2
         assert not out.exists()
+
+
+def test_cli_runs_one_blas_thread_by_default(cfg_path, tmp_path):
+    # a Radon 32x32/15 u-update factors a 612x612 system, whose bits depend
+    # on the BLAS thread count; with no thread variable set the CLI must
+    # give the bits of one thread
+    sets = ["--set", "sensing.side=32", "--set", "sensing.angles=15", "--set",
+            "data.samples=1", "--set", "solver.K=1", "--set", "solver.J=1"]
+    ds = tmp_path / "ds"
+    assert run("gen-data", "--config", cfg_path, *sets, "--out", str(ds)) == 0
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cginvert.__file__))
+    outputs = []
+    for pinned in ({}, dict.fromkeys(threads, "1")):
+        out = tmp_path / f"out{len(outputs)}"
+        subprocess.run(
+            [sys.executable, "-m", "cginvert.cli", "solve", "--config", cfg_path,
+             *sets, "--dataset", str(ds), "--out", str(out), "--repro"],
+            env={**env, **pinned}, capture_output=True, check=True)
+        outputs.append((out / "c_0.f64").read_bytes())
+    assert outputs[0] == outputs[1]

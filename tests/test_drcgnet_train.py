@@ -203,9 +203,9 @@ def recorded_run(monkeypatch, tmp_path, name, *args, **kwargs):
     steps = []
     real_step = train_module.Adam.step
 
-    def recording_step(self, params, grads):
-        steps.append({k: v.copy() for k, v in grads.items()})
-        real_step(self, params, grads)
+    def recording_step(self, params, grad):
+        steps.append(grad.copy())
+        real_step(self, params, grad)
 
     with monkeypatch.context() as m:
         m.setattr(train_module.Adam, "step", recording_step)
@@ -265,8 +265,7 @@ class TestWorkerProcess:
         assert split[0] == serial[0]
         assert len(split[1]) == len(serial[1])
         for got, ref in zip(split[1], serial[1]):
-            for key in ref:
-                assert np.array_equal(got[key], ref[key]), key
+            assert np.array_equal(got, ref)
         assert split[2] == serial[2]
         assert multiprocessing.active_children() == []
 
@@ -327,6 +326,18 @@ class TestWorkerProcess:
               cov_init=0.1)
         assert len(forked) == 1 and forked[0].proc.exitcode is not None
         assert multiprocessing.active_children() == []
+
+    def test_returned_params_leave_the_shared_mapping(self, forked):
+        # trained parameters in NumPy's own memory: they pin no gradient
+        # slot, and a later fork gets a copy-on-write copy of them
+        model, ds, cfg = toy_setup()
+        params, _ = train(ds.pairs, model, cfg,
+                          TrainConfig(lr=1e-3, epochs=1, batch=2), cov_init=0.1)
+        assert len(forked) == 1 and forked[0].slots
+        for key, val in params.values.items():
+            while isinstance(val.base, np.ndarray):
+                val = val.base
+            assert val.base is None, key
 
     def test_library_starts_no_thread(self, forked):
         # a worker forked from a single-threaded process inherits no lock

@@ -14,7 +14,7 @@ from cginvert.data_metrics import gen_dataset
 from cginvert.drcgnet import (NetConfig, TrainConfig, backward, forward,
                               init_params, train)
 from cginvert.errors import DivergenceError
-from cginvert.regularizer import ScaleRegularizer, cost
+from cginvert.regularizer import ScaleRegularizer, cost, data_misfit
 from cginvert.sensing import SensingModel, build_radon
 from cginvert.tikhonov import (
     _tikhonov_direct_with_factor,
@@ -25,7 +25,6 @@ from cginvert.tikhonov import (
     tikhonov_adjoint,
     tikhonov_factored,
     tikhonov_nagd,
-    u_objective,
 )
 from test_sensing import IRREGULAR, SPARSE_ROWS, column_pairs, mapped_gram
 
@@ -42,6 +41,11 @@ def random_cov(kind, n, rng, scale=1.0):
     tril = rng.standard_normal(n * (n + 1) // 2) * 0.3 * math.sqrt(scale)
     tril[np.cumsum(np.arange(1, n + 1)) - 1] += math.sqrt(scale)
     return CovarianceParam.full(n, tril)
+
+
+def u_objective(u, z, model, y, p):
+    """0.5*||A_z u - y||^2 + 0.5*u^T P^{-1} u (the u-dependent part of F)."""
+    return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u)
 
 
 def make_instance(m, n, seed, cov_kind="scaled_identity"):
