@@ -132,14 +132,17 @@ def solve(model, y, p, r, cfg):
     z = r.project(z)
     u = _u_update(np.zeros(model.n), z, model, y, p, cfg)
 
-    f = f_init = cost(u, z, model, y, p, r)
+    # res = A(z*u) - y is formed once per iterate, for F and the next z-step
+    res = model.apply(z * u) - y
+    f = f_init = cost(u, z, model, y, p, r, res)
     trace = [TraceRecord("init", f, float("nan"), float("nan"), 0.0, 0.0)]
     stop_reason = "iterations"
     for k in range(1, cfg.K + 1):
         dz = []
         for j in range(1, cfg.J + 1):
-            z_new, eta = step(z, u, model, y, r, cfg.linesearch)
-            f_now = cost(u, z_new, model, y, p, r)
+            z_new, eta = step(z, u, model, y, r, cfg.linesearch, res)
+            res = model.apply(z_new * u) - y
+            f_now = cost(u, z_new, model, y, p, r, res)
             if not (f_now <= f + COST_INCREASE_TOL):
                 raise NonMonotoneCostError(
                     f"cost rose by {f_now - f:.3e} on z step k={k}, j={j}"
@@ -152,7 +155,8 @@ def solve(model, y, p, r, cfg):
             z, f = z_new, f_now
 
         u_new = _u_update(u, z, model, y, p, cfg)
-        f_now = cost(u_new, z, model, y, p, r)
+        res = model.apply(z * u_new) - y
+        f_now = cost(u_new, z, model, y, p, r, res)
         if not (f_now <= f + COST_INCREASE_TOL):
             raise NonMonotoneCostError(
                 f"cost rose by {f_now - f:.3e} on u step k={k}"

@@ -186,10 +186,16 @@ def data_misfit(z, u, model, y):
     return 0.5 * float(r @ r)
 
 
-def cost(u, z, model, y, p, r):
-    """Joint objective F(u, z); raises DomainError outside the domain of R."""
+def cost(u, z, model, y, p, r, res=None):
+    """Joint objective F(u, z); raises DomainError outside the domain of R.
+
+    res, when given, is the residual A(z*u) - y, which is then not formed
+    again: the solver forms it once per iterate for F and the next z-step.
+    """
     r.check_domain(z)
-    return data_misfit(z, u, model, y) + 0.5 * p.quad_inv(u) + r.value(z)
+    if res is None:
+        res = model.apply(z * u) - y
+    return 0.5 * float(res @ res) + 0.5 * p.quad_inv(u) + r.value(z)
 
 
 @dataclass

@@ -88,13 +88,16 @@ def _fixed_eta(u, model, ls, curvature):
     return 0.95 / max(lip, 1e-30)
 
 
-def pgd_step(z, u, model, y, r, ls):
+def pgd_step(z, u, model, y, r, ls, res=None):
     """Projected gradient step on f(z) = data term + R(z).
 
     Returns (z_new, eta_used).  Backtracking accepts the largest halved
     eta <= eta_init with f(z') <= f(z) - alpha * <grad f(z), z - z'>.
+    res, when given, is the residual A(u*z) - y at z, which is then not
+    formed again.
     """
-    res = model.apply(u * z) - y
+    if res is None:
+        res = model.apply(u * z) - y
     grad = u * model.adjoint(res) + r.grad(z)
     if ls.mode == "fixed":
         eta = _fixed_eta(u, model, ls, lambda: r.curvature_bound(z))
@@ -113,14 +116,15 @@ def pgd_step(z, u, model, y, r, ls):
     )
 
 
-def ista_step(z, u, model, y, r, ls):
+def ista_step(z, u, model, y, r, ls, res=None):
     """Proximal gradient step: prox of eta*R after a data-term gradient step.
 
     Returns (z_new, eta_used).  Backtracking accepts eta once
     f(z') <= f(z) + <grad f(z), z' - z> + ||z' - z||^2 / (2 eta)
-    holds for the smooth data term f alone.
+    holds for the smooth data term f alone.  res is as in pgd_step.
     """
-    res = model.apply(u * z) - y
+    if res is None:
+        res = model.apply(u * z) - y
     grad = u * model.adjoint(res)
     if ls.mode == "fixed":
         eta = _fixed_eta(u, model, ls, lambda: 0.0)

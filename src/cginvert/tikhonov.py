@@ -18,13 +18,20 @@ sums each entry over the pixels in increasing order and adds the identity
 last, the bits of a row sum followed by += 1.0.  The O(r^3) Cholesky is then
 the only r^2-sized work left per update: no second copy is made, and the
 finite checks read the diagonal and the whole right-hand side only.
-The factor and every solve call LAPACK's dpotrf and dpotrs directly, bound
-once at import: SciPy's cho_factor and cho_solve run the same two kernels on
-the same operands, so every output keeps its bits, but their batch and
-array-API dispatch add about 11 us to each call, as much as a 64 x 64 factor
-or solve itself takes (SciPy 1.17 on a 2-core Xeon: 29.5 us against 18.4
-us per factor, 17.0 us against 6.2 us per solve).  CovarianceParam factors
-and solves a tridiagonal or full P with the same two helpers.
+The factor calls LAPACK's dpotrf directly, bound once at import, as do the
+solves: SciPy's cho_factor and cho_solve would add about 11 us of batch and
+array-API dispatch to each call, as much as a 64 x 64 factor or solve
+itself takes (SciPy 1.17 on a 2-core Xeon: 29.5 us against 18.4 us per
+factor, 17.0 us against 6.2 us per solve).  So a factor has cho_factor's
+bits.  A vector right-hand side against a factor of order _DTRSV_MIN or
+more, such as every paper-scale u-update and adjoint solve, takes two BLAS
+dtrsv calls, forward then back substitution: a third of dpotrs's time at
+612 x 612 (one BLAS thread, 0.07 against 0.21 ms per solve), and a result
+that differs from dpotrs's, cho_solve's kernel, by about 1e-15 relative.
+Below that order the second call's overhead outweighs the gain, so a
+smaller factor takes dpotrs, as a matrix right-hand side does, and keeps
+cho_solve's bits.  CovarianceParam factors and solves a tridiagonal or
+full P with the same two helpers.
 tikhonov_factored alone picks the exact route, and tikhonov_adjoint solves
 against its factor, live rows included, for the network backward.
 """
@@ -42,6 +49,11 @@ from .sensing import spectral_norm
 
 _dpotrf = sla.lapack.dpotrf
 _dpotrs = sla.lapack.dpotrs
+_dtrsv = sla.blas.dtrsv
+# below this factor order, two dtrsv calls on a vector cost more than one
+# dpotrs: each f2py call adds about 0.7 us (one BLAS thread: 4.4 against
+# 4.2 us at order 72, 4.7 against 4.8 us at 80)
+_DTRSV_MIN = 80
 
 __all__ = [
     "NagdConfig",
@@ -97,12 +109,19 @@ def _factor(s, psd_plus_identity=False, name="u-update system"):
 
 def _backsolve(c, b, live=slice(None), name="u-update"):
     """Solve against a factor from _factor on the rows live of b, all by
-    default; the solution is 0 on the other rows.  A non-finite entry of b,
-    on any row, raises LinAlgError naming name's right-hand side."""
+    default; the solution is 0 on the other rows.  A vector b against a
+    factor of order _DTRSV_MIN or more takes two dtrsv calls, L w = b then
+    L^T x = w; any other b takes dpotrs.  c must be Fortran-ordered, as
+    _factor's result is: f2py copies any other array on every call.  A
+    non-finite entry of b, on any row, raises LinAlgError naming name's
+    right-hand side."""
     if not np.isfinite(b).all():
         raise np.linalg.LinAlgError(f"{name} right-hand side has non-finite entries")
     x = np.zeros(b.shape)
-    if c.size:  # dpotrs rejects an empty system
+    if b.ndim == 1 and c.shape[0] >= _DTRSV_MIN:
+        w = _dtrsv(c, b[live], lower=1)
+        x[live] = _dtrsv(c, w, lower=1, trans=1, overwrite_x=1)
+    elif c.size:  # dpotrs rejects an empty system
         x[live], info = _dpotrs(c, b[live], lower=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")

@@ -201,6 +201,41 @@ class TestSolve:
             SolverConfig(zstep_method="bogus")
 
 
+class TestWorkCounts:
+    def test_applies_of_one_woodbury_solve(self, monkeypatch):
+        # the residual A(z*u) - y of each new iterate is formed once and
+        # serves both F and the next z-step: one apply per block (init,
+        # each z-step, each u-update; the sparse Woodbury route itself runs
+        # only adjoints), one per backtracking candidate, and one each for
+        # the final grad_u and the stationarity probe
+        model = build_radon(16, 5)
+        assert model.m < model.n
+        [(y, _)] = data_metrics.gen_dataset("synthetic", model, 60.0, 1, 1).pairs
+        p = CovarianceParam.scaled_identity(model.n, 1.0)
+        K, J = 3, 2
+        applies, etas = [], []
+
+        def counted(x, real=model.apply):
+            applies.append(1)
+            return real(x)
+
+        def step(*args, real=gcgls.pgd_step):
+            out = real(*args)
+            etas.append(out[1])
+            return out
+
+        monkeypatch.setattr(model, "apply", counted)
+        monkeypatch.setattr(gcgls, "pgd_step", step)
+        rep = solve(model, y, p, ScaleRegularizer.log_squared(1.0),
+                    SolverConfig(K=K, J=J))
+        assert rep.iterations == K and len(etas) == K * J + 1
+        # the last step is the probe, one fixed step of size 1
+        candidates = [round(-math.log2(eta)) + 1 for eta in etas[:-1]]
+        assert sum(candidates) > K * J  # the linesearch halved
+        blocks = 1 + K * J + K
+        assert len(applies) == blocks + sum(candidates) + 2
+
+
 class TestDiagnostics:
     def make_report(self, K=5, J=3, seed=13):
         model, rng = normalized_instance(8, 12, seed)

@@ -54,6 +54,15 @@ class TestCost:
         acc += sum(0.8 * math.log(z[k]) ** 2 for k in range(6))
         assert cost(u, z, model, y, p, r) == pytest.approx(acc, rel=1e-12)
 
+    def test_handed_in_residual_gives_the_same_bits(self, monkeypatch):
+        model, y, u, z = make_instance(4, 6, 4)
+        p = CovarianceParam.scaled_identity(6, 0.7)
+        r = ScaleRegularizer.log_squared(0.8)
+        f = cost(u, z, model, y, p, r)
+        res = model.apply(z * u) - y
+        monkeypatch.setattr(model, "apply", None)  # not formed again
+        assert cost(u, z, model, y, p, r, res) == f
+
     def test_domain_error_outside_open_orthant(self):
         model, y, u, z = make_instance(4, 6, 3)
         p = CovarianceParam.scaled_identity(6, 1.0)

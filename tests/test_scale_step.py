@@ -159,6 +159,33 @@ class TestIstaStep:
         assert np.array_equal(zp, zi)
 
 
+class TestHandedInResidual:
+    """A step handed the residual A(u*z) - y at z returns the bits it
+    returns without it, one apply fewer."""
+
+    @pytest.mark.parametrize("step", [pgd_step, ista_step])
+    @pytest.mark.parametrize("mode", ["fixed", "backtrack"])
+    def test_same_step_one_apply_fewer(self, step, mode, monkeypatch):
+        model, y, u, z = make_instance(8, 12, 9)
+        r = ScaleRegularizer.log_squared(0.5)
+        ls = LinesearchConfig(mode=mode)
+        calls = []
+
+        def counted(x, real=model.apply):
+            calls.append(1)
+            return real(x)
+
+        res = model.apply(u * z) - y
+        monkeypatch.setattr(model, "apply", counted)
+        z_new, eta = step(z, u, model, y, r, ls)
+        without = len(calls)
+        z_res, eta_res = step(z, u, model, y, r, ls, res)
+        assert z_res.tobytes() == z_new.tobytes() and eta_res == eta
+        assert len(calls) - without == without - 1
+        if mode == "backtrack":
+            assert eta < ls.eta_init  # the linesearch halved
+
+
 class TestStationarityResidual:
     def test_converged_iterate_is_stationary(self):
         model, y, u, z = make_instance(5, 8, 7)

@@ -157,11 +157,13 @@ class TestCovariance:
             with pytest.raises(ValueError, match="finite"):
                 CovarianceParam.init_default(kind, 4, value)
 
-    # the dense kinds factor and solve P with the u-update's dpotrf/dpotrs
-    # calls; SciPy's cho_factor and cho_solve, which run the same kernels,
-    # are the reference.  n = 1 makes materialize() Fortran-ordered too.
+    # the dense kinds factor and solve P with the u-update's helpers: the
+    # factor is cho_factor's bits, a vector solve vector_solve's bits and
+    # within VECTOR_SOLVE_RTOL of cho_solve's, and the identity right-hand
+    # side of add_inverse_to cho_solve's bits.  n = 1 makes materialize()
+    # Fortran-ordered too; n = 100 takes the dtrsv pair.
     @pytest.mark.parametrize("kind", ["tridiagonal", "full"])
-    @pytest.mark.parametrize("n", [1, 7, 33])
+    @pytest.mark.parametrize("n", [1, 7, 33, 100])
     def test_dense_factor_and_solves_equal_scipy(self, kind, n):
         rng = np.random.default_rng(n)
         p = random_cov(kind, n, rng)
@@ -169,8 +171,9 @@ class TestCovariance:
         x, g = rng.standard_normal(n), rng.standard_normal((n, n))
         cho = sla.cho_factor(dense, lower=True)
         assert np.array_equal(p._chofac(), cho[0])
-        assert np.array_equal(p.solve(x), sla.cho_solve(cho, x))
-        assert p.quad_inv(x) == float(x @ sla.cho_solve(cho, x))
+        assert np.array_equal(p.solve(x), vector_solve(cho[0], x))
+        assert_close_rel(p.solve(x), sla.cho_solve(cho, x))
+        assert p.quad_inv(x) == float(x @ vector_solve(cho[0], x))
         assert np.array_equal(p.add_inverse_to(g.copy()),
                               g + sla.cho_solve(cho, np.eye(n)))
         assert np.array_equal(p.materialize(), dense)  # not factored over
@@ -412,9 +415,32 @@ class TestFormedSystemBits:
         assert cho.tobytes(order="F") == ref.tobytes(order="F")
 
 
+def vector_solve(c, b):
+    """The bits of a vector solve against the lower factor c: from order
+    _DTRSV_MIN on, L^T x = w after L w = b by two BLAS dtrsv calls, below
+    it cho_solve's."""
+    if c.shape[0] >= tikhonov._DTRSV_MIN:
+        w = sla.blas.dtrsv(c, b, lower=1)
+        return sla.blas.dtrsv(c, w, lower=1, trans=1)
+    return sla.cho_solve((c, True), b, check_finite=False)
+
+
+# a vector solve against cho_solve's result: measured at most 4e-15 in the
+# 2-norm over these tests' systems (u on Radon 32x32/15)
+VECTOR_SOLVE_RTOL = 2e-14
+
+
+def assert_close_rel(x, ref):
+    assert np.linalg.norm(x - ref) <= VECTOR_SOLVE_RTOL * np.linalg.norm(ref)
+
+
 class TestLapackSeam:
-    """The u-update calls dpotrf and dpotrs directly: the factor and every
-    solve are the bits SciPy's cho_factor and cho_solve give."""
+    """The u-update calls dpotrf directly, and solves a vector against a
+    factor of order _DTRSV_MIN or more with two dtrsv calls: the factor is
+    the bits SciPy's cho_factor gives, such a vector solve the bits of an
+    explicit dtrsv pair on the live rows and within VECTOR_SOLVE_RTOL of
+    cho_solve's; a smaller factor or a matrix right-hand side takes
+    dpotrs, cho_solve's kernel, and keeps its bits."""
 
     RADON = {"radon-woodbury": (32, 15), "radon-direct": (8, 6)}
 
@@ -432,28 +458,97 @@ class TestLapackSeam:
         return request.param, model, y, z, p, rng.standard_normal(model.n)
 
     @staticmethod
-    def scipy_seam(m):
-        """Route the factor and the solves through SciPy's cho_factor and
-        cho_solve, the reference for the direct calls."""
-        m.setattr(tikhonov, "_dpotrf", lambda a, **kw: (sla.cho_factor(
-            a, lower=True, overwrite_a=True, check_finite=False)[0], 0))
-        m.setattr(tikhonov, "_dpotrs", lambda c, b, **kw: (sla.cho_solve(
-            (c, True), b, check_finite=False), 0))
+    def solved(system, monkeypatch, solve):
+        """(u, factor, adjoint) of the system's u-update and its adjoint,
+        with the factor routed through SciPy's cho_factor and each solve,
+        on the live rows, through solve(c, b): the reference for the
+        direct calls."""
+        _, model, y, z, p, b = system
+        with monkeypatch.context() as m:
+            m.setattr(tikhonov, "_dpotrf", lambda a, **kw: (sla.cho_factor(
+                a, lower=True, overwrite_a=True, check_finite=False)[0], 0))
+
+            def backsolve(c, b, live=slice(None), name=None):
+                x = np.zeros(b.shape)
+                x[live] = solve(c, b[live])
+                return x
+
+            m.setattr(tikhonov, "_backsolve", backsolve)
+            u, factor = tikhonov_factored(z, model, y, p)
+            return u, factor, tikhonov_adjoint(b, z, model, p, factor)
 
     def test_factor_and_solves_equal_scipy(self, system, monkeypatch):
         case, model, y, z, p, b = system
         u, factor = tikhonov_factored(z, model, y, p)
         adjoint = tikhonov_adjoint(b, z, model, p, factor)
-        with monkeypatch.context() as m:
-            self.scipy_seam(m)
-            u_ref, factor_ref = tikhonov_factored(z, model, y, p)
-            adjoint_ref = tikhonov_adjoint(b, z, model, p, factor_ref)
+        u_ref, factor_ref, adjoint_ref = self.solved(system, monkeypatch,
+                                                     vector_solve)
         assert factor[0] == factor_ref[0] == case.split("-")[1]
         if case == "radon-woodbury":    # solved on the live rows
             assert factor[2].size == 612
         assert np.array_equal(factor[1], factor_ref[1])
         assert np.array_equal(u, u_ref)
         assert np.array_equal(adjoint, adjoint_ref)
+        u_cho, _, adjoint_cho = self.solved(
+            system, monkeypatch,
+            lambda c, b: sla.cho_solve((c, True), b, check_finite=False))
+        assert_close_rel(u, u_cho)
+        assert_close_rel(adjoint, adjoint_cho)
+
+    def test_matrix_right_hand_side_equals_cho_solve(self, system):
+        _, model, y, z, p, _ = system
+        _, (_, c, _) = tikhonov_factored(z, model, y, p)
+        rhs = np.random.default_rng(c.shape[0]).standard_normal((c.shape[0], 3))
+        assert np.array_equal(tikhonov._backsolve(c, rhs),
+                              sla.cho_solve((c, True), rhs))
+
+    def test_vector_solve_kernel_follows_the_factor_order(self, monkeypatch):
+        calls = []
+        for name in ("_dtrsv", "_dpotrs"):
+            def spy(*args, real=getattr(tikhonov, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(tikhonov, name, spy)
+        rng = np.random.default_rng(4)
+        for r in (tikhonov._DTRSV_MIN - 1, tikhonov._DTRSV_MIN):
+            a = rng.standard_normal((r, r))
+            c = tikhonov._factor(np.asfortranarray(a @ a.T + r * np.eye(r)))
+            b = rng.standard_normal(r)
+            assert np.array_equal(tikhonov._backsolve(c, b), vector_solve(c, b))
+            assert_close_rel(tikhonov._backsolve(c, b),
+                             sla.cho_solve((c, True), b))
+        assert calls == ["_dpotrs", "_dpotrs"] + ["_dtrsv"] * 4
+
+    def test_factors_reach_the_solves_fortran_ordered(self, monkeypatch):
+        # f2py's dtrsv and dpotrs copy a factor that is not Fortran-ordered
+        # on every call; every route and the dense P kinds hand it over as
+        # LAPACK wrote it
+        seen = []
+
+        def spy(c, b, *args, real=tikhonov._backsolve, **kwargs):
+            seen.append(c.flags.f_contiguous)
+            return real(c, b, *args, **kwargs)
+
+        monkeypatch.setattr(tikhonov, "_backsolve", spy)
+        monkeypatch.setattr(covariance, "_backsolve", spy)
+        rng = np.random.default_rng(2)
+        radon = build_radon(16, 5)
+        routes = {"sparse-woodbury": (radon, CovarianceParam.diagonal(
+                      radon.n, rng.uniform(0.5, 2.0, radon.n))),
+                  "dense-woodbury": make_instance(20, 30, 5, "full")[::3],
+                  "direct": make_instance(30, 20, 5, "full")[::3]}
+        for name, (model, p) in routes.items():
+            z = rng.uniform(0.2, 2.0, model.n)
+            u, factor = tikhonov_factored(z, model, model.apply(z), p)
+            tikhonov_adjoint(u, z, model, p, factor)
+            assert factor[0] == name.split("-")[-1]
+        for kind in ("tridiagonal", "full"):
+            p = random_cov(kind, 9, rng)
+            p.solve(rng.standard_normal(9))
+            p.add_inverse_to(np.zeros((9, 9)))
+        # a solve and an adjoint per route, the direct route's P^{-1}, and a
+        # vector and a matrix solve per dense P kind
+        assert seen == [True] * 11
 
     def test_not_positive_definite_names_the_minor(self):
         with pytest.raises(np.linalg.LinAlgError) as info:
