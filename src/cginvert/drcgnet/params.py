@@ -128,13 +128,30 @@ def param_count(cfg, n):
 
 
 class NetParams:
-    """Dict-of-arrays parameter store; the dict's key order is the canonical
-    flattening order."""
+    """The parameters as one float64 vector, flat, which the constructor
+    copies the given {name: array} into; values maps each name to its view
+    of flat, the views laid out in the given mapping's order (param_shapes
+    order for every mapping the package builds)."""
 
     def __init__(self, cfg, n, values):
         self.cfg = cfg
         self.n = n
         self.values = values
+        self.bind(np.concatenate([np.ravel(v) for v in values.values()],
+                                 dtype=np.float64))
+
+    def views(self, flat):
+        """{name: the array's view of flat}, flat laid out as self.flat."""
+        out, start = {}, 0
+        for key, val in self.values.items():
+            out[key] = flat[start:start + np.size(val)].reshape(np.shape(val))
+            start += np.size(val)
+        return out
+
+    def bind(self, flat):
+        """Make flat, a vector laid out as self.flat, the parameters."""
+        self.values = self.views(flat)
+        self.flat = flat
 
     def cov(self):
         return CovarianceParam(self.cfg.cov_kind, self.n, self.values, self.cfg.eps)
@@ -152,11 +169,10 @@ class NetParams:
         return float(self.values["delta.refine"])
 
     def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.values.items()}
+        return self.views(np.zeros_like(self.flat))
 
     def copy(self):
-        return NetParams(self.cfg, self.n,
-                         {k: v.copy() for k, v in self.values.items()})
+        return NetParams(self.cfg, self.n, self.values)
 
 
 def init_params(cfg, n, seed=0, cov_init=0.1):
@@ -178,8 +194,8 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
                     extra=None):
     """Write manifest.json plus a little-endian float64 blob of parameters.
 
-    The manifest declares the parameter order and shapes; the blob holds the
-    arrays concatenated in that order.
+    The manifest declares the parameter order and shapes; the blob is
+    params.flat, the arrays one after another in that order.
     """
     manifest = {
         "net": asdict(params.cfg),
@@ -193,18 +209,17 @@ def save_checkpoint(path_dir, params, train_cfg=None, epoch=None, losses=None,
         manifest["train"] = asdict(train_cfg)
     if extra:
         manifest.update(extra)
-    blob = np.concatenate([v.ravel() for v in params.values.values()])
-    write_store(path_dir, manifest, {"params.bin": blob})
+    write_store(path_dir, manifest, {"params.bin": params.flat})
 
 
 def load_checkpoint(path_dir):
     """Read back a checkpoint; returns (NetParams, manifest dict).
 
     An unreadable file, a manifest that is not a JSON object, lacks a key or
-    has a mistyped value, an array set or shape other than the one its net
-    and n give, and a blob of the wrong length or with non-finite values
-    raise ConfigError.
-    """
+    has a mistyped value, an order that lists an array twice, an array set
+    or shape other than the one its net and n give, and a blob of the wrong
+    length or with non-finite values raise ConfigError.  The arrays load in
+    param_shapes order."""
     manifest = read_manifest(os.path.join(path_dir, "manifest.json"), ConfigError, {
         "net": dict, "order": list, "shapes": dict, "n": int})
     try:
@@ -217,6 +232,8 @@ def load_checkpoint(path_dir):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint manifest in {path_dir} is malformed: {exc}") from None
     want, got = param_shapes(cfg, n), dict(zip(manifest["order"], shapes))
+    if len(got) < len(shapes):
+        raise ConfigError(f"checkpoint manifest in {path_dir} lists an array twice")
     for name in sorted(want.keys() | got.keys()):
         if got.get(name) != want.get(name):
             raise ConfigError(f"checkpoint array {name} has shape {got.get(name)}, "
@@ -224,7 +241,5 @@ def load_checkpoint(path_dir):
     sizes = [math.prod(shape) for shape in shapes]
     blob = read_f64(os.path.join(path_dir, "params.bin"), sum(sizes), ConfigError,
                     "checkpoint blob")
-    parts = np.split(blob, np.cumsum(sizes)[:-1])
-    values = {name: part.reshape(shape)
-              for name, shape, part in zip(manifest["order"], shapes, parts)}
-    return NetParams(cfg, n, values), manifest
+    parts = dict(zip(manifest["order"], np.split(blob, np.cumsum(sizes)[:-1])))
+    return NetParams(cfg, n, {k: parts[k].reshape(s) for k, s in want.items()}), manifest

@@ -1,27 +1,27 @@
 """Deterministic training of the unrolled network on mean absolute error.
 
-A train call copies the parameters into one float64 vector and rebinds each
-params.values entry to its view, so the caller's NetParams is trained in
-place; Adam updates that vector, and the batch gradient is one vector too,
-into whose views each sample's backward adds its one term per array, in
-fixed sample order.  No shuffling: a fixed seed reproduces the loss history
-bit for bit.
+A train call trains the caller's NetParams in place: Adam updates its
+vector params.flat, and the batch gradient is a vector laid out the same
+way, into whose views each sample's backward adds its one term per array,
+in fixed sample order.  No shuffling: a fixed seed reproduces the loss
+history bit for bit.
 
 Where the process may fork and use two CPUs and the whole call's work
 (epochs x samples x one sample's conv and Cholesky multiply-adds, floored
 for a small net's per-call overhead) clears _FORK_MACS (_forks), batches
-run in halves on two processes.  The parameter vector and one gradient slot
-per sample of the first (largest) batch's last half then lie in one
-anonymous mapping shared with a worker process (_Worker) forked before the
-first batch.  Per batch, the main process sends the worker the indices of
-the last floor(B/2) samples in one message, computes the first ceil(B/2),
-and reads the worker's loss terms back in one reply; only then does Adam
-write the parameters the worker reads.  The worker writes each sample's
-gradient, started from zeros, to a slot of its own, and the main process
-adds the slots in sample order: as a sample's backward adds one term to
-each array, that gives the serial sum's bits, so histories, gradients and
-checkpoints are the same as on one CPU.  When train returns or raises, the
-worker is stopped and joined, and the parameters move to a private vector.
+run in halves on two processes.  The parameters are then bound to a copy of
+their vector ahead of one gradient slot per sample of the first (largest)
+batch's last half, all in one anonymous mapping shared with a worker
+process (_Worker) forked before the first batch.  Per batch, the main
+process sends the worker the indices of the last floor(B/2) samples in one
+message, computes the first ceil(B/2), and reads the worker's loss terms
+back in one reply; only then does Adam write the parameters the worker
+reads.  The worker writes each sample's gradient, started from zeros, to a
+slot of its own, and the main process adds the slots in sample order: as a
+sample's backward adds one term to each array, that gives the serial sum's
+bits, so histories, gradients and checkpoints are the same as on one CPU.
+When train returns or raises, the worker is stopped and joined, and the
+parameters move to a private vector.
 """
 
 from __future__ import annotations
@@ -132,35 +132,13 @@ def _forks(cfg, m, n, epochs, samples):
     return hasattr(os, "fork") and _CPUS > 1 and work >= _FORK_MACS
 
 
-def _views(flat, like):
-    """(key, view) for each value of like, in order: a view of flat with the
-    value's shape, the views laid out one after the other."""
-    start = 0
-    for key, val in like.items():
-        yield key, flat[start:start + val.size].reshape(val.shape)
-        start += val.size
-
-
-def _flat_state(params, n_slots):
-    """Copy params into one vector, rebinding each params.values entry to its
-    view; return (vector, n_slots gradient slots).  With slots, all of them
-    lie in one anonymous mapping, which a forked worker shares."""
-    size = sum(v.size for v in params.values.values())
-    shared = (np.frombuffer(mmap.mmap(-1, 8 * size * (n_slots + 1)))
-              if n_slots else np.empty(size))
-    flat, *slots = np.split(shared, n_slots + 1)
-    np.concatenate([v.ravel() for v in params.values.values()], out=flat)
-    params.values.update(list(_views(flat, params.values)))
-    return flat, slots
-
-
 def _serve(conn, parent_end, pairs, model, params, slots):
     """The worker's loop: compute the samples each message names, each
     into its own slot, until the pipe closes.  The parent stops the worker;
     ^C is the parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
-    grads = [dict(_views(slot, params.values)) for slot in slots]
+    grads = [params.views(slot) for slot in slots]
     while True:
         try:
             todo, inv = conn.recv()
@@ -235,8 +213,8 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
           params=None, callback=None):
     """Train on (y, c) pairs; returns (params, history dict).
 
-    params (fresh from cfg_train.seed when None) are trained in place: the
-    call rebinds each params.values entry to a view of one vector.
+    params (fresh from cfg_net and cfg_train.seed when None) are trained in
+    place, through params.flat; their own cfg sets the network.
     history["train_mae"][e] is the mean per-sample MAE of epoch e's batches,
     each at the parameters before its update (at full batch, those after
     epoch e-1); history["val_mae"][e] is evaluated after epoch e's updates.
@@ -252,10 +230,15 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     since_best = 0
     # the first batch is the largest: its last half sizes the worker's slots
     first = next(_batches(len(pairs), cfg_train.batch), ())
-    forks = _forks(cfg_net, model.m, n, cfg_train.epochs, len(pairs))
-    flat, slots = _flat_state(params, len(first) // 2 if forks else 0)
-    grad = np.zeros_like(flat)
-    grads = dict(_views(grad, params.values))
+    slots = []
+    if _forks(params.cfg, model.m, n, cfg_train.epochs, len(pairs)) and len(first) > 1:
+        # the parameters, then the worker's slots, in one shared mapping
+        shared = mmap.mmap(-1, params.flat.nbytes * (len(first) // 2 + 1))
+        flat, *slots = np.frombuffer(shared).reshape(-1, params.flat.size)
+        flat[...] = params.flat
+        params.bind(flat)
+    grad = np.zeros_like(params.flat)
+    grads = params.views(grad)
 
     worker = _Worker(pairs, model, params, slots) if slots else None
     try:
@@ -282,8 +265,8 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
                                        f"{exc}")
                 if not np.isfinite(loss):
                     raise NanLossError(f"non-finite loss at epoch {epoch}")
-                opt.step(flat, grad)
-                if not np.isfinite(flat).all():
+                opt.step(params.flat, grad)
+                if not np.isfinite(params.flat).all():
                     raise NanLossError(f"non-finite parameters after an update "
                                        f"at epoch {epoch}")
                 epoch_loss += loss * len(batch)
@@ -310,7 +293,7 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
         if worker is not None:
             worker.close()
             # private memory: it pins no slot, and a later fork copies it
-            params.values.update(list(_views(flat.copy(), params.values)))
+            params.bind(params.flat.copy())
 
     if cfg_train.patience is not None and best[1] is not None:
         return best[1], history

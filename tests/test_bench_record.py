@@ -1,9 +1,28 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_recorder():
+    path = os.path.join(ROOT, "tools", "bench_record.py")
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("commit,clean,expect", [
+    ("f216383d97e72cda6f342a07a8cb1b7906cea11e", True, "f216383"),
+    ("f216383d97e72cda6f342a07a8cb1b7906cea11e", False, "f216383-dirty"),
+    (None, None, "unknown")], ids=["clean", "dirty", "no-git"])
+def test_a_dirty_tree_is_not_named_after_its_commit(commit, clean, expect):
+    assert load_recorder().label({"commit": commit, "clean": clean}) == expect
 
 
 def test_recorder_writes_the_bench_keys(tmp_path):

@@ -670,6 +670,21 @@ class TestMalformedInput:
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
         assert "lacks key 'w.1.1.1'" in err
 
+    def test_checkpoint_order_lists_an_array_twice(self, cfg_path, tmp_path,
+                                                   capsys):
+        # the blob grows to match, so only the repeated name is wrong
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            name = manifest["order"][-1]
+            size = int(np.prod(manifest["shapes"][name]))
+            manifest["order"].append(name)
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+            blob = np.fromfile(ck / "params.bin", dtype="<f8")
+            np.concatenate([blob, blob[-size:]]).tofile(ck / "params.bin")
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "lists an array twice" in err
+
     @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
     def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):
         err = self.eval_corrupt_checkpoint(

@@ -11,6 +11,7 @@ import pytest
 
 from cginvert.drcgnet import (
     NetConfig,
+    NetParams,
     TrainConfig,
     conv2d_backward,
     evaluate_mae,
@@ -22,6 +23,7 @@ from cginvert.drcgnet import (
     train,
 )
 from cginvert.drcgnet.conv import body, padded
+from cginvert.drcgnet.params import param_shapes
 from cginvert.errors import DivergenceError, NanLossError, WorkerError
 from cginvert.data_metrics import gen_dataset
 from cginvert.sensing import build_radon
@@ -334,10 +336,12 @@ class TestWorkerProcess:
         params, _ = train(ds.pairs, model, cfg,
                           TrainConfig(lr=1e-3, epochs=1, batch=2), cov_init=0.1)
         assert len(forked) == 1 and forked[0].slots
+        assert params.flat.base is None
         for key, val in params.values.items():
             while isinstance(val.base, np.ndarray):
                 val = val.base
             assert val.base is None, key
+        assert_laid_out(params)
 
     def test_library_starts_no_thread(self, forked):
         # a worker forked from a single-threaded process inherits no lock
@@ -400,6 +404,22 @@ class TestWorkerProcess:
         assert [w.submitted for w in workers] == [[[1]]]
         assert multiprocessing.active_children() == []
 
+    def test_gate_weighs_the_trained_params(self, monkeypatch):
+        # cfg_net only builds params when none are passed
+        model, ds, cfg = toy_setup()
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        seen = []
+        real_forks = train_module._forks
+
+        def spy(net, *args):
+            seen.append(net)
+            return real_forks(net, *args)
+
+        monkeypatch.setattr(train_module, "_forks", spy)
+        train(ds.pairs, model, NetConfig(), TrainConfig(lr=1e-3, epochs=1),
+              params=params)
+        assert seen == [params.cfg]
+
     def test_gate(self, monkeypatch):
         # (m, n) of Radon 32x32/15 and 8x8/6
         big, small = (690, 32 * 32), (72, 64)
@@ -455,6 +475,77 @@ class TestMae:
         assert mae(a, b) == pytest.approx((0.5 + 1.0) / 4.0)
 
 
+def assert_laid_out(params):
+    """Each params.values entry is its param_shapes view of params.flat."""
+    shapes = param_shapes(params.cfg, params.n)
+    assert list(params.values) == list(shapes)
+    assert params.flat.dtype == np.float64
+    start = 0
+    for name, shape in shapes.items():
+        val = params.values[name]
+        assert val.shape == shape, name
+        assert val.dtype == np.float64, name
+        # the same memory as its stretch of flat, not a copy of it
+        part = params.flat[start:start + val.size]
+        assert val.__array_interface__["data"] == part.__array_interface__["data"]
+        start += val.size
+    assert start == params.flat.size
+
+
+class TestLayout:
+    def test_values_are_views_of_flat(self):
+        model, _, cfg = toy_setup()
+        for kind in ("scaled_identity", "diagonal", "tridiagonal", "full"):
+            params = init_params(replace(cfg, cov_kind=kind), model.n, seed=3)
+            assert_laid_out(params)
+            assert_laid_out(params.copy())
+            params.flat[:] = np.arange(params.flat.size)
+            assert params.values["w.refine.2"].ravel()[-1] == params.flat.size - 1
+
+    def test_copy_shares_no_memory(self):
+        model, _, cfg = toy_setup()
+        params = init_params(cfg, model.n, seed=3)
+        twin = params.copy()
+        assert np.array_equal(twin.flat, params.flat)
+        assert not np.shares_memory(twin.flat, params.flat)
+        for key, val in twin.values.items():
+            assert not np.shares_memory(val, params.flat), key
+        twin.values["delta"][...] = 7.0
+        assert params.values["delta"].max() == 1.0
+
+    def test_zero_grads_match_the_layout(self):
+        model, _, cfg = toy_setup()
+        params = init_params(cfg, model.n, seed=3)
+        grads = params.zero_grads()
+        assert list(grads) == list(params.values)
+        for key, val in grads.items():
+            assert val.shape == params.values[key].shape and not val.any(), key
+            assert not np.shares_memory(val, params.flat), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float64])
+    def test_constructor_copies_into_float64(self, dtype):
+        model, _, cfg = toy_setup()
+        source = {name: np.ones(shape, dtype=dtype)
+                  for name, shape in param_shapes(cfg, model.n).items()}
+        params = NetParams(cfg, model.n, source)
+        assert_laid_out(params)
+        source["delta"][...] = 5
+        assert params.values["delta"].max() == 1.0
+        params.values["w.1.1.1"][...] = 3.0
+        assert source["w.1.1.1"].max() == 1
+
+    def test_serial_train_keeps_the_callers_vector(self):
+        model, ds, cfg = toy_setup()
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        flat, values = params.flat, dict(params.values)
+        before = flat.copy()
+        out, _ = train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1),
+                       params=params)
+        assert out is params and params.flat is flat
+        assert all(params.values[k] is v for k, v in values.items())
+        assert not np.array_equal(flat, before)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model, ds, cfg = toy_setup()
@@ -468,6 +559,7 @@ class TestCheckpoint:
         assert manifest["epoch"] == 1
         for key in params.values:
             assert np.array_equal(loaded.values[key], params.values[key])
+        assert_laid_out(loaded)
 
     def test_blob_is_little_endian_in_declared_order(self, tmp_path):
         model, ds, cfg = toy_setup()
@@ -480,6 +572,25 @@ class TestCheckpoint:
         expect = np.concatenate(
             [params.values[k].ravel() for k in manifest["order"]])
         assert np.array_equal(blob, expect)
+        # the blob is the parameter vector itself
+        assert (tmp_path / "ck" / "params.bin").read_bytes() == \
+            params.flat.astype("<f8").tobytes()
+
+    def test_manifest_order_need_not_be_canonical(self, tmp_path):
+        import json
+
+        model, ds, cfg = toy_setup()
+        params = init_params(replace(cfg, cov_kind="tridiagonal"), model.n,
+                             seed=5, cov_init=0.1)
+        save_checkpoint(tmp_path / "ck", params)
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        manifest["order"].reverse()
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        np.concatenate([params.values[k].ravel() for k in manifest["order"]]
+                       ).astype("<f8").tofile(tmp_path / "ck" / "params.bin")
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert_laid_out(loaded)
+        assert np.array_equal(loaded.flat, params.flat)
 
     def test_forward_identical_after_reload(self, tmp_path):
         model, ds, cfg = toy_setup()

@@ -9,12 +9,14 @@ workload and seed 1-5, one run at a time, and parses each run's `env` line
 and result line; it measures nothing itself.  The workloads and T are the
 checkout's BENCHMARK.json `workloads` and `run_seconds` unless --workloads
 or --seconds overrides them.  It writes BENCH_<short commit hash>.json to
---out (default: the checkout's root), holding the commit hash, whether the
-tree was clean, the `env` line of the first run, and per workload the
-median, min and quartiles of `setup_s`, `op_s` and `peak_mb` over the seeds,
-`attempted` and `failed` summed over the runs, `correct` (every run's
-once-per-run checks passed) and each run's raw numbers.  At 4 workloads and
-15 s a file takes about 6 minutes.
+--out (default: the checkout's root), BENCH_<short hash>-dirty.json when
+the tree has uncommitted changes (the file is never named after a commit
+that does not hold the measured code).  The file holds the commit hash,
+whether the tree was clean, the `env` line of the first run, and per
+workload the median, min and quartiles of `setup_s`, `op_s` and `peak_mb`
+over the seeds, `attempted` and `failed` summed over the runs, `correct`
+(every run's once-per-run checks passed) and each run's raw numbers.  At 4
+workloads and 15 s a file takes about 6 minutes.
 """
 
 import argparse
@@ -86,6 +88,13 @@ def record(root, workloads, seconds):
             "workloads": per_workload}
 
 
+def label(bench):
+    """The file name's label for a record: its short commit hash, with a
+    -dirty suffix when the tree held uncommitted changes."""
+    short = (bench["commit"] or "unknown")[:7]
+    return f"{short}-dirty" if bench["clean"] is False else short
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", default=os.path.dirname(HERE))
@@ -99,8 +108,7 @@ def main(argv=None):
                  else [w["name"] for w in spec["workloads"]])
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     bench = record(args.root, workloads, seconds)
-    label = (bench["commit"] or "unknown")[:7]
-    path = os.path.join(args.out or args.root, f"BENCH_{label}.json")
+    path = os.path.join(args.out or args.root, f"BENCH_{label(bench)}.json")
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
