@@ -201,12 +201,14 @@ class Tape:
 
     records holds one dict per block in forward order: U_0's Tikhonov
     update, then for each k its J scale updates and its Tikhonov update,
-    then the refinement update when cfg.refine is set.
+    then the refinement update when cfg.refine is set.  cov is the
+    forward's CovarianceParam, which the backward reuses with its factor.
     """
 
-    def __init__(self, model, y):
+    def __init__(self, model, y, cov):
         self.model = model
         self.y = y
+        self.cov = cov
         self.records = []
 
 
@@ -227,7 +229,7 @@ def forward(y, model, params, want_tape=True):
     p = params.cov()
     # without a tape, each block's record and conv buffers die when the next
     # block replaces them
-    tape = Tape(model, y) if want_tape else None
+    tape = Tape(model, y, p) if want_tape else None
     record = tape.records.append if want_tape else lambda rec: None
 
     z = initial_scale(model, y, cfg.b)
@@ -263,8 +265,7 @@ def backward(tape, grad_out, params, grads=None):
     calls is deterministic, and adding a sample's gradient taken from zeros
     gives the same bits as passing the dict."""
     cfg = params.cfg
-    model, y = tape.model, tape.y
-    p = params.cov()
+    model, y, p = tape.model, tape.y, tape.cov
     if grads is None:
         grads = params.zero_grads()
     cov = {key: np.zeros_like(val) for key, val in p.arrays.items()}

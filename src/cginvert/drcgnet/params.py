@@ -118,6 +118,12 @@ def param_shapes(cfg, n):
     return shapes
 
 
+def _array_count(cfg, n):
+    """len(param_shapes(cfg, n)), without building a name per array."""
+    return len(CovarianceParam.array_shapes(cfg.cov_kind, n)) + 2 \
+        + (cfg.K * cfg.J + 1) * cfg.depth
+
+
 def param_count(cfg, n):
     """Number of learnable scalars for the given configuration.
 
@@ -216,7 +222,8 @@ def load_checkpoint(path_dir):
     """Read back a checkpoint; returns (NetParams, manifest dict).
 
     An unreadable file, a manifest that is not a JSON object, lacks a key or
-    has a mistyped value, an order that lists an array twice, an array set
+    has a mistyped value, an order that lists an array twice or whose length
+    differs from the array count its net and n give, an array set
     or shape other than the one its net and n give, and a blob of the wrong
     length or with non-finite values raise ConfigError.  The arrays load in
     param_shapes order."""
@@ -231,9 +238,13 @@ def load_checkpoint(path_dir):
         raise ConfigError(f"checkpoint manifest in {path_dir} lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint manifest in {path_dir} is malformed: {exc}") from None
-    want, got = param_shapes(cfg, n), dict(zip(manifest["order"], shapes))
+    got = dict(zip(manifest["order"], shapes))
     if len(got) < len(shapes):
         raise ConfigError(f"checkpoint manifest in {path_dir} lists an array twice")
+    if len(got) != _array_count(cfg, n):  # before param_shapes names them all
+        raise ConfigError(f"checkpoint manifest in {path_dir} lists {len(got)} "
+                          f"arrays, its network config gives {_array_count(cfg, n)}")
+    want = param_shapes(cfg, n)
     for name in sorted(want.keys() | got.keys()):
         if got.get(name) != want.get(name):
             raise ConfigError(f"checkpoint array {name} has shape {got.get(name)}, "

@@ -1,27 +1,25 @@
 """Deterministic training of the unrolled network on mean absolute error.
 
-A train call trains the caller's NetParams in place: Adam updates its
-vector params.flat, and the batch gradient is a vector laid out the same
-way, into whose views each sample's backward adds its one term per array,
-in fixed sample order.  No shuffling: a fixed seed reproduces the loss
-history bit for bit.
+A train call, on one process or two, returning or raising, trains the
+caller's NetParams in place: Adam updates its vector params.flat, and the
+batch gradient is a vector laid out the same way, into whose views each
+sample's backward adds its one term per array, in fixed sample order.  No
+shuffling: a fixed seed reproduces the loss history bit for bit.
 
 Where the process may fork and use two CPUs and the whole call's work
 (epochs x samples x one sample's conv and Cholesky multiply-adds, floored
 for a small net's per-call overhead) clears _FORK_MACS (_forks), batches
-run in halves on two processes.  The parameters are then bound to a copy of
-their vector ahead of one gradient slot per sample of the first (largest)
-batch's last half, all in one anonymous mapping shared with a worker
-process (_Worker) forked before the first batch.  Per batch, the main
-process sends the worker the indices of the last floor(B/2) samples in one
-message, computes the first ceil(B/2), and reads the worker's loss terms
-back in one reply; only then does Adam write the parameters the worker
-reads.  The worker writes each sample's gradient, started from zeros, to a
-slot of its own, and the main process adds the slots in sample order: as a
-sample's backward adds one term to each array, that gives the serial sum's
-bits, so histories, gradients and checkpoints are the same as on one CPU.
-When train returns or raises, the worker is stopped and joined, and the
-parameters move to a private vector.
+run in halves on two processes.  Per batch, the main process sends a
+worker process (_Worker), forked before the first batch and reading the
+parameters from the memory it shares, the indices of the last floor(B/2)
+samples in one message, computes the first ceil(B/2), and reads the
+worker's loss terms back in one reply; only then does Adam write the
+parameters the worker reads.  The worker writes each sample's gradient,
+started from zeros, to a slot of its own, and the main process adds the
+slots in sample order to the batch gradient, which lies in the caller's
+vector while the parameters lie in the worker's memory: as a sample's
+backward adds one term to each array, that gives the serial sum's bits, so
+histories, gradients and checkpoints are the same as on one CPU.
 """
 
 from __future__ import annotations
@@ -132,12 +130,13 @@ def _forks(cfg, m, n, epochs, samples):
     return hasattr(os, "fork") and _CPUS > 1 and work >= _FORK_MACS
 
 
-def _serve(conn, parent_end, pairs, model, params, slots):
-    """The worker's loop: compute the samples each message names, each
-    into its own slot, until the pipe closes.  The parent stops the worker;
-    ^C is the parent's to handle."""
+def _serve(conn, parent_end, pairs, model, params, mapped, slots):
+    """The worker's loop: compute the samples each message names, at the
+    shared parameters mapped, each into its own slot, until the pipe
+    closes.  The parent stops the worker; ^C is the parent's to handle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
+    params.bind(mapped)
     grads = [params.views(slot) for slot in slots]
     while True:
         try:
@@ -157,19 +156,23 @@ def _serve(conn, parent_end, pairs, model, params, slots):
 class _Worker:
     """A forked process that computes part of each batch for train.
 
-    It reads the parameters through params.values, views of the shared
-    vector, and writes each sample's gradient to its own shared slot; the
-    pipe carries the samples' indices and scale there, and back their loss
-    terms or the exception the first failing sample raised.  It is forked,
-    not spawned, so it inherits the samples, the operator and those views.
+    It owns the memory it shares, one anonymous mapping: a copy of
+    params.flat, to which both processes bind params once the fork has
+    started and until close(), then n_slots gradient slots.  The worker
+    writes each sample's gradient to its own slot; the pipe carries the
+    samples' indices and scale there, and back their loss terms or the
+    exception the first failing sample raised.  It is forked, not spawned,
+    so it inherits the samples, the operator and params.
     """
 
-    def __init__(self, pairs, model, params, slots):
-        self.slots = slots
+    def __init__(self, pairs, model, params, n_slots):
+        shared = mmap.mmap(-1, params.flat.nbytes * (n_slots + 1))
+        mapped, *self.slots = np.frombuffer(shared).reshape(-1, params.flat.size)
+        mapped[...] = params.flat
         self.conn, child_end = multiprocessing.Pipe()
         self.proc = multiprocessing.get_context("fork").Process(
             target=_serve, name="cginvert-train", daemon=True,
-            args=(child_end, self.conn, pairs, model, params, slots))
+            args=(child_end, self.conn, pairs, model, params, mapped, self.slots))
         try:
             self.proc.start()
         except OSError as exc:
@@ -177,6 +180,8 @@ class _Worker:
                               f"{exc.strerror}") from None
         finally:
             child_end.close()
+        self.params, self.flat = params, params.flat
+        params.bind(mapped)
 
     def _died(self):
         self.proc.join(1.0)
@@ -203,10 +208,12 @@ class _Worker:
         return losses
 
     def close(self):
-        """Stop the worker, whatever it is doing, and join it."""
+        """Stop and join the worker; params move back to the caller's vector."""
         self.proc.terminate()
         self.proc.join()
         self.conn.close()
+        self.flat[...] = self.params.flat
+        self.params.bind(self.flat)
 
 
 def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
@@ -228,19 +235,13 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     history = {"train_mae": [], "val_mae": []}
     best = (np.inf, None)
     since_best = 0
-    # the first batch is the largest: its last half sizes the worker's slots
-    first = next(_batches(len(pairs), cfg_train.batch), ())
-    slots = []
-    if _forks(params.cfg, model.m, n, cfg_train.epochs, len(pairs)) and len(first) > 1:
-        # the parameters, then the worker's slots, in one shared mapping
-        shared = mmap.mmap(-1, params.flat.nbytes * (len(first) // 2 + 1))
-        flat, *slots = np.frombuffer(shared).reshape(-1, params.flat.size)
-        flat[...] = params.flat
-        params.bind(flat)
-    grad = np.zeros_like(params.flat)
+    # the first batch is the largest: the worker takes at most its last half
+    most = len(next(_batches(len(pairs), cfg_train.batch), ())) // 2
+    forks = most and _forks(params.cfg, model.m, n, cfg_train.epochs, len(pairs))
+    worker = _Worker(pairs, model, params, most) if forks else None
+    # the caller's vector, idle while the worker runs, holds the batch gradient
+    grad = np.zeros_like(params.flat) if worker is None else worker.flat
     grads = params.views(grad)
-
-    worker = _Worker(pairs, model, params, slots) if slots else None
     try:
         for epoch in range(cfg_train.epochs):
             epoch_loss = 0.0
@@ -292,8 +293,6 @@ def train(pairs, model, cfg_net, cfg_train, val_pairs=None, cov_init=0.1,
     finally:
         if worker is not None:
             worker.close()
-            # private memory: it pins no slot, and a later fork copies it
-            params.bind(params.flat.copy())
 
     if cfg_train.patience is not None and best[1] is not None:
         return best[1], history

@@ -7,6 +7,7 @@ maxval.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -16,21 +17,10 @@ __all__ = ["read_pgm", "write_pgm"]
 
 
 def _pgm_tokens(data):
-    # Token scanner honoring '#' comments in the PGM header.
-    i = 0
-    while True:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            return
-        yield data[start:i], i
+    """(token, end offset) of each whitespace-separated token of the bytes
+    data; a '#' that starts a token comments out the rest of its line."""
+    return ((m[1], m.end()) for m in re.finditer(rb"#[^\n]*|(\S+)", data)
+            if m[1])
 
 
 def _pgm_ints(path, what, tokens):
@@ -42,7 +32,9 @@ def _pgm_ints(path, what, tokens):
 
 
 def read_pgm(path):
-    """Load a P2/P5 PGM file as a float image in [0, 1]."""
+    """Load a P2/P5 PGM file as a float image in [0, 1].  A file that cannot
+    be read, or whose magic, header, maxval (1..65535) or pixels (0..maxval,
+    w*h of them) are malformed, raises DataError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -52,27 +44,29 @@ def read_pgm(path):
     if len(head) < 4:
         raise DataError(f"{path}: truncated PGM header")
     (magic, _), (w, _), (h, _), (maxval, end) = head
-    magic = magic.decode()
+    if magic not in (b"P2", b"P5"):
+        raise DataError(f"{path}: not a PGM file "
+                        f"(magic {magic[:8].decode('latin-1')!a})")
     w, h, maxval = _pgm_ints(path, "header", (w, h, maxval))
-    if magic not in ("P2", "P5"):
-        raise DataError(f"{path}: not a PGM file (magic {magic!r})")
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad size {w}x{h}")
-    if maxval <= 0:
+    if not 0 < maxval < 65536:
         raise DataError(f"{path}: bad maxval {maxval}")
-    if magic == "P5":
+    if magic == b"P5":
         raw = data[end + 1 :]
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         if len(raw) < w * h * dtype.itemsize:
             raise DataError(f"{path}: expected {w * h} pixels, got "
                             f"{len(raw) // dtype.itemsize}")
-        img = np.frombuffer(raw, dtype=dtype, count=w * h).astype(np.float64)
+        vals = np.frombuffer(raw, dtype=dtype, count=w * h).tolist()
     else:
         vals = _pgm_ints(path, "pixel", (t for t, _ in _pgm_tokens(data[end:])))
         if len(vals) < w * h:
             raise DataError(f"{path}: expected {w * h} pixels, got {len(vals)}")
-        img = np.array(vals[: w * h], dtype=np.float64)
-    return (img / maxval).reshape(h, w)
+    bad = [v for v in vals[: w * h] if not 0 <= v <= maxval]
+    if bad:
+        raise DataError(f"{path}: pixel value {bad[0]} outside 0..{maxval}")
+    return (np.array(vals[: w * h], dtype=np.float64) / maxval).reshape(h, w)
 
 
 def write_pgm(path, img):

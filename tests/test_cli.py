@@ -1,4 +1,7 @@
+import errno
+import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -231,8 +234,19 @@ class TestMalformedInput:
         (b"P5\n8 8\n0\n", bytes(64), "bad maxval 0"),
         (b"P2\n8 8\n255\n", b"1 " * 63, "expected 64 pixels, got 63"),
         (b"P5\n6 6\n255\n", bytes(36), "expected 8x8, got (6, 6)"),
+        (b"\xff\xd8\xff\xe0 8 8 255\n", bytes(64),
+         r"not a PGM file (magic '\xff\xd8\xff\xe0')"),
+        (b"P5\n8 8\n25\n", bytes([63]) + bytes(63),
+         "pixel value 63 outside 0..25"),
+        (b"P2\n8 8\n255\n", b"1 " * 5 + b"300 " + b"1 " * 58,
+         "pixel value 300 outside 0..255"),
+        (b"P2\n8 8\n255\n", b"-5 " + b"1 " * 63,
+         "pixel value -5 outside 0..255"),
+        (b"P2\n8 8\n65536\n", b"1 " * 64, "bad maxval 65536"),
     ], ids=["header-token", "pixel-token", "negative-width", "truncated-header",
-            "bad-magic", "maxval-0", "few-p2-pixels", "wrong-size"])
+            "bad-magic", "maxval-0", "few-p2-pixels", "wrong-size",
+            "non-ascii-magic", "p5-above-maxval", "p2-above-maxval",
+            "p2-negative", "maxval-65536"])
     def test_malformed_pgm(self, cfg_path, tmp_path, capsys, header, pixels,
                            expect):
         images = tmp_path / "images"
@@ -685,6 +699,27 @@ class TestMalformedInput:
         err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
         assert "lists an array twice" in err
 
+    def test_checkpoint_for_a_far_larger_net(self, cfg_path, tmp_path, capsys,
+                                             monkeypatch):
+        # a million scale updates: the manifest's 7 arrays are refused
+        # against the 2,000,005 that K gives before a name is built for each
+        params_module = importlib.import_module("cginvert.drcgnet.params")
+        real, calls = params_module.param_shapes, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        def corrupt(ck):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            manifest["net"]["K"] = 10 ** 6
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+            monkeypatch.setattr(params_module, "param_shapes", spy)
+
+        err = self.eval_corrupt_checkpoint(cfg_path, tmp_path, capsys, corrupt)
+        assert "lists 7 arrays, its network config gives 2000005" in err
+        assert calls == []
+
     @pytest.mark.parametrize("name", ["params.bin", "manifest.json"])
     def test_checkpoint_missing_file(self, cfg_path, tmp_path, capsys, name):
         err = self.eval_corrupt_checkpoint(
@@ -829,6 +864,26 @@ class TestTrainEval:
         assert code == 4
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: solver breakdown")
+
+    def test_worker_that_cannot_start_exits_1(self, cfg_path, tmp_path,
+                                              capsys, monkeypatch):
+        def start(process):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        train_module = importlib.import_module("cginvert.drcgnet.train")
+        monkeypatch.setattr(train_module, "_CPUS", 2)
+        monkeypatch.setattr(train_module, "_FORK_MACS", 0)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--out", str(ds))
+        capsys.readouterr()
+        code = run("train", "--config", cfg_path, "--dataset", str(ds),
+                   "--out", str(tmp_path / "ck"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: cannot start a training worker process: "
+                       f"{os.strerror(errno.EAGAIN)}\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestDenseCovarianceBreakdown:

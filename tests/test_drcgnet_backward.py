@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cginvert import covariance
 from cginvert.covariance import CovarianceParam
 from cginvert.drcgnet import NetConfig, backward, forward, init_params
 from cginvert.sensing import SensingModel, build_radon, measure
@@ -214,6 +215,31 @@ class TestBackwardWork:
         assert calls["apply"] == applies
         assert calls["adjoint"] == 1 + applies
         assert calls["solve"] == 3 * (K + 1) * steps - 1
+
+    @pytest.mark.parametrize("angles", [6, 3], ids=["direct", "woodbury"])
+    def test_backward_reuses_the_forwards_covariance(self, monkeypatch,
+                                                     angles):
+        # a dense P: the forward builds L once for P itself, the backward
+        # once per Tikhonov block for its P-gradient, and P is factored once
+        # per pass, by the forward's P^{-1} on the direct route (m > n) and
+        # by the backward's first P^{-1} on the Woodbury route
+        model = build_radon(8, angles)
+        y = measure(model, np.abs(np.random.default_rng(3).standard_normal(
+            model.n)), 40.0, seed=2)
+        cfg = NetConfig(K=2, J=2, depth=2, kernel=3, channels=(2, 1),
+                        cov_kind="full", refine=True)
+        params = init_params(cfg, model.n, seed=6, cov_init=0.5)
+        calls = {"_l_matrix": 0, "_factor": 0}
+        for owner, name in ((CovarianceParam, "_l_matrix"),
+                            (covariance, "_factor")):
+            def counted(*args, real=getattr(owner, name), key=name,
+                        **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        _, tape = forward(y, model, params)
+        backward(tape, np.ones(model.n), params)
+        assert calls == {"_l_matrix": 1 + cfg.K + 1, "_factor": 1}
 
     def test_adds_into_a_passed_gradient_dict(self):
         # every array takes one term per call, so passing G0 gives the bits

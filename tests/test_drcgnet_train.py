@@ -1,3 +1,4 @@
+import errno
 import importlib
 import multiprocessing
 import multiprocessing.connection
@@ -283,30 +284,54 @@ class TestWorkerProcess:
                 errors = []
                 for floor in (float("inf"), 0):
                     m.setattr(train_module, "_FORK_MACS", floor)
+                    params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+                    flat = params.flat
                     with pytest.raises(NanLossError, match="solver breakdown "
                                        f"at epoch 0: {cause}") as info:
-                        train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+                        train(ds.pairs, model, cfg, tcfg, params=params)
                     errors.append(str(info.value))
-                    assert multiprocessing.active_children() == []
+                    assert_ends_on(params, flat)
             assert errors[0] == errors[1]
         assert [w.submitted for w in forked] == [[[1]], [[1]]]
 
     def test_dead_worker_is_a_one_line_error(self, forked, monkeypatch):
         model, ds, cfg = toy_setup()
         fail_on_sample(monkeypatch, ds.pairs, 3, lambda: os._exit(3))
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        flat = params.flat
         with pytest.raises(WorkerError, match="exit code 3") as info:
             train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=2, batch=2),
-                  cov_init=0.1)
+                  params=params)
         assert "\n" not in str(info.value)
-        assert multiprocessing.active_children() == []
+        assert_ends_on(params, flat)
+
+    def test_worker_that_cannot_start_is_a_one_line_error(self, forked,
+                                                          monkeypatch):
+        def start(process):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        model, ds, cfg = toy_setup()
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        flat, before = params.flat, params.flat.copy()
+        with pytest.raises(WorkerError, match="cannot start a training worker "
+                           f"process: {os.strerror(errno.EAGAIN)}") as info:
+            train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=2, batch=2),
+                  params=params)
+        assert "\n" not in str(info.value)
+        assert len(forked) == 1
+        assert np.array_equal(flat, before)
+        assert_ends_on(params, flat)
 
     def test_nan_loss_stops_the_worker(self, forked):
         model, ds, cfg = toy_setup()
         tcfg = TrainConfig(lr=1e12, epochs=50, batch=2, seed=0)
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        flat = params.flat
         with pytest.raises(NanLossError):
-            train(ds.pairs, model, cfg, tcfg, cov_init=0.1)
+            train(ds.pairs, model, cfg, tcfg, params=params)
         assert len(forked) == 1
-        assert multiprocessing.active_children() == []
+        assert_ends_on(params, flat)
 
     @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
     def test_callback_exception_stops_the_worker(self, forked, stop):
@@ -316,11 +341,13 @@ class TestWorkerProcess:
             if epoch == 1:
                 raise stop
 
+        params = init_params(cfg, model.n, seed=0, cov_init=0.1)
+        flat = params.flat
         with pytest.raises(stop):
             train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=5, batch=2),
-                  cov_init=0.1, callback=callback)
+                  params=params, callback=callback)
         assert len(forked) == 1
-        assert multiprocessing.active_children() == []
+        assert_ends_on(params, flat)
 
     def test_return_joins_the_worker(self, forked):
         model, ds, cfg = toy_setup()
@@ -492,6 +519,14 @@ def assert_laid_out(params):
     assert start == params.flat.size
 
 
+def assert_ends_on(params, flat):
+    """What every train call leaves, however it ends: params laid out on
+    flat, the caller's vector in private memory, and no worker process."""
+    assert params.flat is flat and flat.base is None
+    assert_laid_out(params)
+    assert multiprocessing.active_children() == []
+
+
 class TestLayout:
     def test_values_are_views_of_flat(self):
         model, _, cfg = toy_setup()
@@ -534,19 +569,42 @@ class TestLayout:
         params.values["w.1.1.1"][...] = 3.0
         assert source["w.1.1.1"].max() == 1
 
-    def test_serial_train_keeps_the_callers_vector(self):
+    @pytest.mark.parametrize("fork", [False, True], ids=["serial", "forked"])
+    def test_train_keeps_the_callers_vector(self, workers, monkeypatch, fork):
+        # on one process or two, the vector passed in is trained in place,
+        # so views of it taken before the call read the trained values
+        if fork:
+            monkeypatch.setattr(train_module, "_CPUS", 2)
+            monkeypatch.setattr(train_module, "_FORK_MACS", 0)
         model, ds, cfg = toy_setup()
         params = init_params(cfg, model.n, seed=0, cov_init=0.1)
         flat, values = params.flat, dict(params.values)
         before = flat.copy()
         out, _ = train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1),
                        params=params)
-        assert out is params and params.flat is flat
-        assert all(params.values[k] is v for k, v in values.items())
+        assert len(workers) == fork
+        assert out is params
+        assert_ends_on(params, flat)
+        for key, val in values.items():
+            assert np.array_equal(params.values[key], val), key
+        if not fork:
+            assert all(params.values[k] is v for k, v in values.items())
         assert not np.array_equal(flat, before)
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("cov_kind", ["scaled_identity", "diagonal",
+                                          "tridiagonal", "full"])
+    def test_array_count_is_the_number_of_shapes(self, cov_kind):
+        # load_checkpoint weighs a manifest's order by the count first
+        params_module = importlib.import_module("cginvert.drcgnet.params")
+        for K, J, depth in ((1, 1, 1), (2, 3, 2), (3, 4, 8)):
+            cfg = NetConfig(K=K, J=J, depth=depth,
+                            channels=(4,) * (depth - 1) + (1,),
+                            cov_kind=cov_kind)
+            assert params_module._array_count(cfg, 16) == \
+                len(param_shapes(cfg, 16))
+
     def test_round_trip_bitwise(self, tmp_path):
         model, ds, cfg = toy_setup()
         params = init_params(cfg, model.n, seed=9, cov_init=0.1)
