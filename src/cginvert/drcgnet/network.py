@@ -21,6 +21,7 @@ from ..tikhonov import (
     tikhonov_adjoint,
     tikhonov_factored,
     tikhonov_nagd,
+    tikhonov_solve,
 )
 # Unused here, but perfbench/tracing.py wraps these names in this module and
 # fails without them; drop this line once its TARGETS stop listing them.
@@ -131,12 +132,17 @@ def _gmap_backward(zbar_out, rec, model, kernels):
 
 # -- Tikhonov blocks -----------------------------------------------------------
 
-def _tikh_forward(z, u_prev, model, y, p, cfg):
+def _tikh_forward(z, u_prev, model, y, p, cfg, keep=True):
+    """Tikhonov block; returns (u, record).  keep False records nothing
+    (None) and runs the plain solve: no packed factor, no NAGD trace."""
     if cfg.u_mode == "nagd":
-        u, trace = tikhonov_nagd(
-            u_prev, z, model, y, p,
-            NagdConfig(steps=cfg.nagd_steps, eta=cfg.nagd_eta), want_trace=True)
+        nagd = NagdConfig(steps=cfg.nagd_steps, eta=cfg.nagd_eta)
+        if not keep:
+            return tikhonov_nagd(u_prev, z, model, y, p, nagd), None
+        u, trace = tikhonov_nagd(u_prev, z, model, y, p, nagd, want_trace=True)
         return u, {"z": z, "u": u, "trace": trace, "eta": cfg.nagd_eta}
+    if not keep:
+        return tikhonov_solve(z, model, y, p), None
     u, factor = tikhonov_factored(z, model, y, p)
     return u, {"z": z, "u": u, "factor": factor}
 
@@ -201,8 +207,10 @@ class Tape:
 
     records holds one dict per block in forward order: U_0's Tikhonov
     update, then for each k its J scale updates and its Tikhonov update,
-    then the refinement update when cfg.refine is set.  cov is the
-    forward's CovarianceParam, which the backward reuses with its factor.
+    then the refinement update when cfg.refine is set.  An exact Tikhonov
+    record keeps its Cholesky factor packed, r(r+1)/2 floats for r the order
+    of the system it solved (tikhonov_factored).  cov is the forward's
+    CovarianceParam, which the backward reuses with its factor.
     """
 
     def __init__(self, model, y, cov):
@@ -234,7 +242,7 @@ def forward(y, model, params, want_tape=True):
 
     z = initial_scale(model, y, cfg.b)
     u_prev = np.zeros(n) if cfg.u_mode == "nagd" else None
-    u, rec = _tikh_forward(z, u_prev, model, y, p, cfg)
+    u, rec = _tikh_forward(z, u_prev, model, y, p, cfg, want_tape)
     record(rec)
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.J + 1):
@@ -242,7 +250,7 @@ def forward(y, model, params, want_tape=True):
                                    cfg.gamma_max, params.kernels(k, j),
                                    cfg.variant, side, want_tape)
             record(rec)
-        u, rec = _tikh_forward(z, u, model, y, p, cfg)
+        u, rec = _tikh_forward(z, u, model, y, p, cfg, want_tape)
         record(rec)
 
     out = u * z

@@ -24,16 +24,22 @@ array-API dispatch to each call, as much as a 64 x 64 factor or solve
 itself takes (SciPy 1.17 on a 2-core Xeon: 29.5 us against 18.4 us per
 factor, 17.0 us against 6.2 us per solve).  So a factor has cho_factor's
 bits.  A vector right-hand side against a factor of order _DTRSV_MIN or
-more, such as every paper-scale u-update and adjoint solve, takes two BLAS
-dtrsv calls, forward then back substitution: a third of dpotrs's time at
+more, such as every paper-scale u-update's solve, takes two BLAS dtrsv
+calls, forward then back substitution: a third of dpotrs's time at
 612 x 612 (one BLAS thread, 0.07 against 0.21 ms per solve), and a result
 that differs from dpotrs's, cho_solve's kernel, by about 1e-15 relative.
 Below that order the second call's overhead outweighs the gain, so a
 smaller factor takes dpotrs, as a matrix right-hand side does, and keeps
 cho_solve's bits.  CovarianceParam factors and solves a tridiagonal or
 full P with the same two helpers.
-tikhonov_factored alone picks the exact route, and tikhonov_adjoint solves
-against its factor, live rows included, for the network backward.
+One router picks the exact route for both entry points: tikhonov_solve
+returns u alone, and tikhonov_factored also keeps the factor for the
+network backward, packed (LAPACK's dtrttp: its lower triangle, column by
+column, r(r+1)/2 floats, half the r x r array the update factors in, 1.50
+against 3.00 MB at r = 612), so each taped exact block holds no entry the
+backward never reads.  tikhonov_adjoint solves against that packed factor,
+live rows included, with one dpptrs: as fast as the dtrsv pair at order
+612, and within about 1e-15 relative of it.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .sensing import spectral_norm
 
 _dpotrf = sla.lapack.dpotrf
 _dpotrs = sla.lapack.dpotrs
+_dpptrs = sla.lapack.dpptrs
+_dtrttp = sla.lapack.dtrttp
 _dtrsv = sla.blas.dtrsv
 # below this factor order, two dtrsv calls on a vector cost more than one
 # dpotrs: each f2py call adds about 0.7 us (one BLAS thread: 4.4 against
@@ -108,23 +116,26 @@ def _factor(s, psd_plus_identity=False, name="u-update system"):
 
 
 def _backsolve(c, b, live=slice(None), name="u-update"):
-    """Solve against a factor from _factor on the rows live of b, all by
-    default; the solution is 0 on the other rows.  A vector b against a
-    factor of order _DTRSV_MIN or more takes two dtrsv calls, L w = b then
-    L^T x = w; any other b takes dpotrs.  c must be Fortran-ordered, as
-    _factor's result is: f2py copies any other array on every call.  A
-    non-finite entry of b, on any row, raises LinAlgError naming name's
-    right-hand side."""
+    """Solve against a factor from _factor, or its packed lower triangle
+    from tikhonov_factored, on the rows live of b, all by default; the
+    solution is 0 on the other rows.  A packed factor takes dpptrs.  A
+    vector b against a square factor of order _DTRSV_MIN or more takes two
+    dtrsv calls, L w = b then L^T x = w; any other b takes dpotrs.  A square
+    c must be Fortran-ordered, as _factor's result is: f2py copies any other
+    array on every call.  A non-finite entry of b, on any row, raises
+    LinAlgError naming name's right-hand side."""
     if not np.isfinite(b).all():
         raise np.linalg.LinAlgError(f"{name} right-hand side has non-finite entries")
     x = np.zeros(b.shape)
-    if b.ndim == 1 and c.shape[0] >= _DTRSV_MIN:
-        w = _dtrsv(c, b[live], lower=1)
+    rhs = b[live]
+    if c.ndim == 2 and b.ndim == 1 and c.shape[0] >= _DTRSV_MIN:
+        w = _dtrsv(c, rhs, lower=1)
         x[live] = _dtrsv(c, w, lower=1, trans=1, overwrite_x=1)
     elif c.size:  # dpotrs rejects an empty system
-        x[live], info = _dpotrs(c, b[live], lower=1)
+        x[live], info = (_dpotrs(c, rhs, lower=1) if c.ndim == 2
+                         else _dpptrs(rhs.shape[0], c, rhs, lower=1))
         if info:
-            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+            raise ValueError(f"illegal value in argument {-info} of the solve")
     return x
 
 
@@ -167,15 +178,9 @@ def _tikhonov_woodbury_with_factor(z, model, y, p):
     return u, cho, live
 
 
-def tikhonov_solve(z, model, y, p):
-    """Routed exact solve (see tikhonov_factored)."""
-    return tikhonov_factored(z, model, y, p)[0]
-
-
-def tikhonov_factored(z, model, y, p):
-    """Routed exact solve, Woodbury when m < n and direct otherwise; returns
-    (u, factor) with the factor that tikhonov_adjoint solves against:
-    (route, Cholesky factor, the rows it covers)."""
+def _route(z, model, y, p):
+    """Exact solve, Woodbury when m < n and direct otherwise; returns
+    (u, (route, square Cholesky factor, the rows it covers))."""
     if model.m < model.n:
         u, cho, live = _tikhonov_woodbury_with_factor(z, model, y, p)
         return u, ("woodbury", cho, live)
@@ -183,15 +188,31 @@ def tikhonov_factored(z, model, y, p):
     return u, ("direct", cho, slice(None))
 
 
+def tikhonov_solve(z, model, y, p):
+    """Routed exact solve (see tikhonov_factored); keeps no factor."""
+    return _route(z, model, y, p)[0]
+
+
+def tikhonov_factored(z, model, y, p):
+    """Routed exact solve; returns (u, factor) with the factor that
+    tikhonov_adjoint solves against: (route, the Cholesky factor's lower
+    triangle packed by dtrttp, the rows it covers).  u is tikhonov_solve's,
+    bit for bit; the square factor is freed on return."""
+    u, (route, cho, live) = _route(z, model, y, p)
+    packed, _ = _dtrttp(cho, uplo="L")
+    return u, (route, packed, live)
+
+
 def tikhonov_adjoint(b, z, model, p, factor):
     """(A_z^T A_z + P^{-1})^{-1} b against a factor from tikhonov_factored;
-    the Woodbury route reads P b - P A_z^T (I + A_z P A_z^T)^{-1} A_z P b."""
-    route, cho, live = factor
+    the Woodbury route reads P b - P A_z^T (I + A_z P A_z^T)^{-1} A_z P b.
+    Either route makes one dpptrs against the packed factor."""
+    route, packed, live = factor
     if route == "direct":
-        return _backsolve(cho, b)
+        return _backsolve(packed, b)
     pb = p.apply(b)
     return pb - p.apply(z * model.adjoint(
-        _backsolve(cho, model.apply(z * pb), live)))
+        _backsolve(packed, model.apply(z * pb), live)))
 
 
 def nagd_momentum(j):

@@ -865,6 +865,27 @@ class TestTrainEval:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: solver breakdown")
 
+    @pytest.mark.parametrize("angles", [6, 4], ids=["direct", "woodbury"])
+    def test_non_finite_adjoint_right_hand_side_exits_4(
+            self, cfg_path, tmp_path, capsys, monkeypatch, angles):
+        # a NaN reaching a Tikhonov block's backward solve against its
+        # packed factor ends the run as a breakdown, in one line
+        network = importlib.import_module("cginvert.drcgnet.network")
+        real = network.tikhonov_adjoint
+        monkeypatch.setattr(network, "tikhonov_adjoint",
+                            lambda b, *args: real(b * np.nan, *args))
+        ds = tmp_path / "ds"
+        run("gen-data", "--config", cfg_path, "--set",
+            f"sensing.angles={angles}", "--out", str(ds))
+        capsys.readouterr()
+        code = run("train", "--config", cfg_path, "--set",
+                   f"sensing.angles={angles}", "--set", "train.epochs=1",
+                   "--dataset", str(ds), "--out", str(tmp_path / "ck"))
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: solver breakdown at epoch 0: u-update "
+            "right-hand side has non-finite entries\n")
+
     def test_worker_that_cannot_start_exits_1(self, cfg_path, tmp_path,
                                               capsys, monkeypatch):
         def start(process):

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dtrttp
 from scipy.signal import convolve2d, correlate2d
 
 from cginvert.covariance import CovarianceParam
@@ -17,12 +19,17 @@ from cginvert.drcgnet import (
     init_params,
     param_count,
 )
-from cginvert.drcgnet import conv
+from cginvert import tikhonov
+from cginvert.drcgnet import conv, network
 from cginvert.drcgnet.conv import body, interior, padded
 from cginvert.drcgnet.network import _gmap_forward, _stack_backward, _stack_forward
 from cginvert.gcgls import initial_scale
 from cginvert.sensing import SensingModel, build_radon, measure
 from cginvert.tikhonov import tikhonov_solve
+
+
+# the README run.cfg network
+README_NET = NetConfig(K=2, J=2, depth=2, channels=(8, 1))
 
 
 def small_model(m, n, seed):
@@ -468,7 +475,7 @@ class TestForward:
 
     def test_tapeless_forward_holds_one_block(self):
         # the paper network on Radon 32x32/15: a taped forward keeps every
-        # block's conv buffers (about 40 MB); without a tape only the block
+        # block's record (about 34 MB); without a tape only the block
         # being run holds any, so the peak is a small fraction of that
         model = build_radon(32, 15)
         y = gen_dataset("synthetic", model, 60.0, 1, 1).pairs[0][0]
@@ -489,6 +496,54 @@ class TestForward:
         assert np.array_equal(bare, out)
         assert taped_mb > 30.0
         assert bare_mb < 8.0
+
+    @pytest.mark.parametrize("case", ["paper", "readme-direct"])
+    def test_exact_records_keep_packed_factors(self, case):
+        # each exact block keeps the lower triangle of its order-r factor,
+        # r(r+1)/2 floats: r = 612 live rows of the Woodbury system on Radon
+        # 32x32/15, r = n = 64 on the README run.cfg's direct route
+        side, angles, cfg, route, size = {
+            "paper": (32, 15, NetConfig(), "woodbury", 187578),
+            "readme-direct": (8, 6, README_NET, "direct", 2080)}[case]
+        model = build_radon(side, angles)
+        y = gen_dataset("synthetic", model, 60.0, 1, 1).pairs[0][0]
+        params = init_params(cfg, model.n, seed=1, cov_init=0.1)
+        _, tape = forward(y, model, params)
+        factors = [rec["factor"] for rec in tape.records if "factor" in rec]
+        assert len(factors) == cfg.K + 1
+        for kept_route, packed, _ in factors:
+            assert kept_route == route
+            assert packed.dtype == np.float64 and packed.shape == (size,)
+
+    @pytest.mark.parametrize("u_mode", ["exact", "nagd"])
+    def test_tapeless_forward_runs_the_plain_solves(self, monkeypatch, u_mode):
+        # no packed factor and no accelerated trace, and the taped bits
+        packs, traces = [], []
+
+        def pack(a, **kwargs):
+            packs.append(a.shape)
+            return dtrttp(a, **kwargs)
+
+        def nagd(*args, real=network.tikhonov_nagd, **kwargs):
+            traces.append(kwargs.get("want_trace", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tikhonov, "_dtrttp", pack)
+        monkeypatch.setattr(network, "tikhonov_nagd", nagd)
+        model = build_radon(8, 6)
+        y = gen_dataset("synthetic", model, 60.0, 1, 1).pairs[0][0]
+        cfg = replace(README_NET, u_mode=u_mode, nagd_eta=2e-5, nagd_steps=3)
+        params = init_params(cfg, model.n, seed=1, cov_init=0.1)
+        blocks = cfg.K + 1
+        bare, _ = forward(y, model, params, want_tape=False)
+        assert packs == []
+        assert traces == ([False] * blocks if u_mode == "nagd" else [])
+        taped, _ = forward(y, model, params)
+        if u_mode == "exact":
+            assert packs == [(64, 64)] * blocks
+        else:
+            assert traces[blocks:] == [True] * blocks
+        assert bare.tobytes() == taped.tobytes()
 
     def test_needs_square_signal(self):
         model, rng = small_model(4, 6, 12)

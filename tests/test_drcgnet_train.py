@@ -356,20 +356,6 @@ class TestWorkerProcess:
         assert len(forked) == 1 and forked[0].proc.exitcode is not None
         assert multiprocessing.active_children() == []
 
-    def test_returned_params_leave_the_shared_mapping(self, forked):
-        # trained parameters in NumPy's own memory: they pin no gradient
-        # slot, and a later fork gets a copy-on-write copy of them
-        model, ds, cfg = toy_setup()
-        params, _ = train(ds.pairs, model, cfg,
-                          TrainConfig(lr=1e-3, epochs=1, batch=2), cov_init=0.1)
-        assert len(forked) == 1 and forked[0].slots
-        assert params.flat.base is None
-        for key, val in params.values.items():
-            while isinstance(val.base, np.ndarray):
-                val = val.base
-            assert val.base is None, key
-        assert_laid_out(params)
-
     def test_library_starts_no_thread(self, forked):
         # a worker forked from a single-threaded process inherits no lock
         # that another thread held, so both steps must leave the count be
@@ -569,20 +555,32 @@ class TestLayout:
         params.values["w.1.1.1"][...] = 3.0
         assert source["w.1.1.1"].max() == 1
 
-    @pytest.mark.parametrize("fork", [False, True], ids=["serial", "forked"])
-    def test_train_keeps_the_callers_vector(self, workers, monkeypatch, fork):
+    @pytest.mark.parametrize("fork,given,batch", [
+        (False, True, 0), (True, True, 0), (True, False, 2)],
+        ids=["serial", "forked", "forked-own-vector"])
+    def test_train_keeps_the_callers_vector(self, workers, monkeypatch, fork,
+                                            given, batch):
         # on one process or two, the vector passed in is trained in place,
-        # so views of it taken before the call read the trained values
+        # so views of it taken before the call read the trained values; one
+        # that train makes itself (params=None) ends in NumPy's own memory
+        # too: it pins no gradient slot, and a later fork gets a
+        # copy-on-write copy of it
         if fork:
             monkeypatch.setattr(train_module, "_CPUS", 2)
             monkeypatch.setattr(train_module, "_FORK_MACS", 0)
         model, ds, cfg = toy_setup()
         params = init_params(cfg, model.n, seed=0, cov_init=0.1)
-        flat, values = params.flat, dict(params.values)
-        before = flat.copy()
-        out, _ = train(ds.pairs, model, cfg, TrainConfig(lr=1e-3, epochs=1),
-                       params=params)
+        before = params.flat.copy()
+        if given:
+            flat, values = params.flat, dict(params.values)
+        out, _ = train(ds.pairs, model, cfg,
+                       TrainConfig(lr=1e-3, epochs=1, batch=batch),
+                       params=params if given else None, cov_init=0.1)
         assert len(workers) == fork
+        if fork:
+            assert workers[0].slots
+        if not given:
+            params, flat, values = out, out.flat, dict(out.values)
         assert out is params
         assert_ends_on(params, flat)
         for key, val in values.items():

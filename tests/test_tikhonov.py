@@ -324,13 +324,14 @@ class TestInPlaceFactor:
         return model, z, y, CovarianceParam.scaled_identity(model.n, 1.5)
 
     def test_factor_equals_factor_of_full_system(self, radon):
-        # the factor is that of the live-row block of the full system
+        # the kept factor is that of the live-row block of the full system,
+        # its lower triangle packed column by column
         model, z, y, p = radon
         _, (route, c, live) = tikhonov_factored(z, model, y, p)
         low = mapped_gram(model, z * z * p.diag_values())
         ref, _ = sla.cho_factor(low + np.tril(low, -1).T, lower=True)
-        assert route == "woodbury" and c.shape == (612, 612)
-        assert np.array_equal(np.tril(c), np.tril(ref))
+        assert route == "woodbury" and c.shape == (612 * 613 // 2,)
+        assert np.array_equal(c, packed_lower(ref))
 
     def test_factor_overwrites_the_formed_system(self, radon, monkeypatch):
         model, z, y, p = radon
@@ -348,17 +349,20 @@ class TestInPlaceFactor:
 
     def test_update_holds_one_m_by_m_array(self, radon):
         # the r x r system on the live rows and O(m + n) floats besides: no
-        # r^2-sized or triangle-sized temporary
+        # r^2-sized or triangle-sized temporary; the factored update adds
+        # the packed triangle it keeps, and nothing else
         model, z, y, p = radon
         tikhonov_factored(z, model, y, p)  # builds the cached gram map
         r = model.gram_map()[0].size
-        tracemalloc.start()
-        try:
-            tikhonov_factored(z, model, y, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - r * r * 8 < 64 * (model.m + model.n)
+        for solve, held in ((tikhonov.tikhonov_solve, r * r),
+                            (tikhonov_factored, r * r + r * (r + 1) // 2)):
+            tracemalloc.start()
+            try:
+                solve(z, model, y, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 0 <= peak - held * 8 < 64 * (model.m + model.n)
 
 
 def reference_system(psi, w):
@@ -415,10 +419,26 @@ class TestFormedSystemBits:
         assert cho.tobytes(order="F") == ref.tobytes(order="F")
 
 
+def packed_lower(c):
+    """The lower triangle of the square c in LAPACK's packed order, column
+    by column: what dtrttp gives."""
+    return c.T[np.triu_indices(c.shape[0])]
+
+
+def unpacked(ap):
+    """The square lower-triangular array whose packed form is ap."""
+    r = (math.isqrt(8 * ap.size + 1) - 1) // 2
+    c = np.zeros((r, r), order="F")
+    c.T[np.triu_indices(r)] = ap
+    return c
+
+
 def vector_solve(c, b):
-    """The bits of a vector solve against the lower factor c: from order
-    _DTRSV_MIN on, L^T x = w after L w = b by two BLAS dtrsv calls, below
-    it cho_solve's."""
+    """The bits of a vector solve against the lower factor c: packed,
+    dpptrs's; square from order _DTRSV_MIN on, L^T x = w after L w = b by
+    two BLAS dtrsv calls, below it cho_solve's."""
+    if c.ndim == 1:
+        return sla.lapack.dpptrs(b.size, c, b, lower=1)[0]
     if c.shape[0] >= tikhonov._DTRSV_MIN:
         w = sla.blas.dtrsv(c, b, lower=1)
         return sla.blas.dtrsv(c, w, lower=1, trans=1)
@@ -440,7 +460,9 @@ class TestLapackSeam:
     the bits SciPy's cho_factor gives, such a vector solve the bits of an
     explicit dtrsv pair on the live rows and within VECTOR_SOLVE_RTOL of
     cho_solve's; a smaller factor or a matrix right-hand side takes
-    dpotrs, cho_solve's kernel, and keeps its bits."""
+    dpotrs, cho_solve's kernel, and keeps its bits.  The adjoint solves
+    against the packed factor with dpptrs, within VECTOR_SOLVE_RTOL of
+    cho_solve's."""
 
     RADON = {"radon-woodbury": (32, 15), "radon-direct": (8, 6)}
 
@@ -491,16 +513,21 @@ class TestLapackSeam:
         assert np.array_equal(adjoint, adjoint_ref)
         u_cho, _, adjoint_cho = self.solved(
             system, monkeypatch,
-            lambda c, b: sla.cho_solve((c, True), b, check_finite=False))
+            lambda c, b: sla.cho_solve((unpacked(c) if c.ndim == 1 else c,
+                                        True), b, check_finite=False))
         assert_close_rel(u, u_cho)
         assert_close_rel(adjoint, adjoint_cho)
 
     def test_matrix_right_hand_side_equals_cho_solve(self, system):
+        # against the square factor the update solves with; the factor it
+        # keeps is that factor's lower triangle, packed
         _, model, y, z, p, _ = system
-        _, (_, c, _) = tikhonov_factored(z, model, y, p)
+        _, (_, c, _) = tikhonov._route(z, model, y, p)
         rhs = np.random.default_rng(c.shape[0]).standard_normal((c.shape[0], 3))
         assert np.array_equal(tikhonov._backsolve(c, rhs),
                               sla.cho_solve((c, True), rhs))
+        _, (_, packed, _) = tikhonov_factored(z, model, y, p)
+        assert np.array_equal(packed, packed_lower(c))
 
     def test_vector_solve_kernel_follows_the_factor_order(self, monkeypatch):
         calls = []
@@ -526,7 +553,7 @@ class TestLapackSeam:
         seen = []
 
         def spy(c, b, *args, real=tikhonov._backsolve, **kwargs):
-            seen.append(c.flags.f_contiguous)
+            seen.append((c.ndim, c.flags.f_contiguous))
             return real(c, b, *args, **kwargs)
 
         monkeypatch.setattr(tikhonov, "_backsolve", spy)
@@ -546,9 +573,9 @@ class TestLapackSeam:
             p = random_cov(kind, 9, rng)
             p.solve(rng.standard_normal(9))
             p.add_inverse_to(np.zeros((9, 9)))
-        # a solve and an adjoint per route, the direct route's P^{-1}, and a
-        # vector and a matrix solve per dense P kind
-        assert seen == [True] * 11
+        # square: a solve per route, the direct route's P^{-1}, and a vector
+        # and a matrix solve per dense P kind; packed: an adjoint per route
+        assert sorted(seen) == [(1, True)] * 3 + [(2, True)] * 8
 
     def test_not_positive_definite_names_the_minor(self):
         with pytest.raises(np.linalg.LinAlgError) as info:
@@ -561,7 +588,7 @@ class TestLapackSeam:
         model = SensingModel(sp.csr_matrix((3, 5)))
         p = CovarianceParam.scaled_identity(5, 1.0)
         u, factor = tikhonov_factored(np.ones(5), model, np.ones(3), p)
-        assert factor[1].shape == (0, 0) and np.array_equal(u, np.zeros(5))
+        assert factor[1].shape == (0,) and np.array_equal(u, np.zeros(5))
         assert np.array_equal(tikhonov_adjoint(np.ones(5), np.ones(5), model,
                                                p, factor), np.ones(5))
 
@@ -650,7 +677,8 @@ class TestNonFiniteInput:
         model, z, y, p, b = self.instance(route)
         _, factor = tikhonov_factored(z, model, y, p)
         b[self.PIXEL % model.n] = np.nan
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        with pytest.raises(np.linalg.LinAlgError, match="^u-update right-hand "
+                           "side has non-finite entries$"):
             tikhonov_adjoint(b, z, model, p, factor)
 
 
@@ -733,6 +761,63 @@ class TestAdjoint:
         w = tikhonov_adjoint(b, z, model, p, factor)
         expect = np.linalg.solve(dense_u_system(z, model, p), b)
         assert np.linalg.norm(w - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+class TestPackedFactor:
+    """tikhonov_factored keeps the factor's lower triangle packed, and the
+    adjoint solves against it with dpptrs on every route; the plain solve
+    never packs."""
+
+    ROUTES = {
+        "sparse-woodbury": lambda rng: (build_radon(16, 5), "diagonal"),
+        "dense-woodbury": lambda rng: (SensingModel(
+            rng.standard_normal((20, 30)) / math.sqrt(30)), "full"),
+        "direct": lambda rng: (SensingModel(
+            rng.standard_normal((30, 20)) / math.sqrt(20)), "full"),
+        "empty": lambda rng: (SensingModel(sp.csr_matrix((3, 5))), "diagonal"),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_adjoint_matches_dense_solve(self, route):
+        # the systems' condition numbers are 3-500: measured at most 3.3e-15
+        rng = np.random.default_rng(list(self.ROUTES).index(route))
+        model, kind = self.ROUTES[route](rng)
+        p = random_cov(kind, model.n, rng)
+        z = rng.uniform(0.2, 2.0, model.n)
+        _, factor = tikhonov_factored(z, model, rng.standard_normal(model.m), p)
+        # a sparse Psi's system is formed on its live rows
+        r = (model.gram_map()[0].size if sp.issparse(model.psi)
+             else min(model.m, model.n))
+        assert factor[0] == ("direct" if route == "direct" else "woodbury")
+        assert factor[1].dtype == np.float64
+        assert factor[1].shape == (r * (r + 1) // 2,)
+        b = rng.standard_normal(model.n)
+        w = tikhonov_adjoint(b, z, model, p, factor)
+        expect = np.linalg.solve(dense_u_system(z, model, p), b)
+        assert np.linalg.norm(w - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    def test_solver_packs_nothing(self, monkeypatch):
+        # the same bits as a solver whose u-update packs its factor too
+        model = build_radon(16, 5)
+        rng = np.random.default_rng(3)
+        y = model.apply(rng.uniform(0.0, 1.0, model.n))
+        args = (model, y, CovarianceParam.scaled_identity(model.n, 1.0),
+                ScaleRegularizer.log_squared(0.05),
+                gcgls.SolverConfig(K=2, J=2))
+        calls = []
+
+        def pack(a, **kwargs):
+            calls.append(a.shape)
+            return sla.lapack.dtrttp(a, **kwargs)
+
+        monkeypatch.setattr(tikhonov, "_dtrttp", pack)
+        plain = gcgls.solve(*args)
+        assert calls == []
+        monkeypatch.setattr(gcgls, "tikhonov_solve",
+                            lambda *a: tikhonov_factored(*a)[0])
+        packing = gcgls.solve(*args)
+        assert len(calls) == 3
+        assert plain.c_star.tobytes() == packing.c_star.tobytes()
 
 
 class TestLipschitzEstimate:
